@@ -2,8 +2,8 @@
 
 Library layout:
 
-* :mod:`noisectrl.qops`       operator algebra, vectorization, spectra
-* :mod:`noisectrl.lindblad`   Liouvillians, propagators, closed-form channels
+* :mod:`noisectrl.qops`       operator algebra, vectorization, spectra, density operators
+* :mod:`noisectrl.lindblad`   the one Liouvillian builder, propagators, closed-form channels
 * :mod:`noisectrl.models`     Ising chains, the ion-trap system, named states
 * :mod:`noisectrl.reach`      majorisation, switch times, HLP scheduling, Lie closure
 * :mod:`noisectrl.schedule`   segmented schedules (ideal unitaries + holds)
@@ -15,13 +15,12 @@ Library layout:
 from .exceptions import (ConfigurationError, NoiseCtrlError,
                          NumericalHealthError, ReachabilityError)
 from .qops import (IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y,
-                   SIGMA_Z, DensityOperator, HermitianOperator,
-                   LindbladOperator, embed_local, frobenius_error,
+                   SIGMA_Z, DensityOperator, embed_local, frobenius_error,
                    random_density, sorted_spectrum, unvec, vec)
 from .lindblad import (BathParams, ThetaChannelParams, assemble_liouvillian,
                        commutator_superop, diag_channel_theta,
-                       dissipator_superop, heat_bath_generator, propagator,
-                       theta_channel_exact, theta_generator,
+                       dissipator_superop, heat_bath_generator, liouvillians,
+                       propagator, theta_channel_exact, theta_generator,
                        trotter_decoupled_propagator, v_theta)
 from .models import (ControlSystem, ghz_state, ion_trap_model, ising_chain,
                      thermal_state, zero_state)

@@ -58,6 +58,7 @@ def validate(config: dict, mode: str | None = None) -> list[str]:
     mode = mode or cfg_mode
 
     system = None
+    system_failed = False
     sys_cfg = config.get("system")
     if mode in ("simulate", "optimize", "hlp", "protocol", "controllability"):
         if not isinstance(sys_cfg, dict):
@@ -67,6 +68,7 @@ def validate(config: dict, mode: str | None = None) -> list[str]:
                 system = _build_system(sys_cfg)
             except (ConfigurationError, ValueError, KeyError, TypeError) as exc:
                 diags.append(f"system: {exc}")
+                system_failed = True
 
     for key in ("initial", "target"):
         st_cfg = config.get(key)
@@ -74,6 +76,10 @@ def validate(config: dict, mode: str | None = None) -> list[str]:
         if st_cfg is None:
             if needs:
                 diags.append(f"{key}: missing section")
+            continue
+        # without a system there is no qubit count to size the state with
+        if (system_failed and isinstance(st_cfg, dict) and "n" not in st_cfg
+                and st_cfg.get("state") != "spectrum"):
             continue
         try:
             state = _build_state(st_cfg, system.n if system else None)
@@ -92,6 +98,12 @@ def validate(config: dict, mode: str | None = None) -> list[str]:
                 diags.append("horizon: T must be positive")
             if not int(hz.get("slices", 0)) >= 1:
                 diags.append("horizon: slices must be at least 1")
+
+    if mode == "optimize":
+        opts = config.get("optimizer", {})
+        fd_step = opts.get("fd_step") if isinstance(opts, dict) else None
+        if fd_step is not None and not (isinstance(fd_step, (int, float)) and fd_step > 0):
+            diags.append("optimizer: fd_step must be positive")
 
     seq_cfg = config.get("sequence", {})
     if mode == "simulate" and system is not None and isinstance(seq_cfg, dict):

@@ -8,7 +8,10 @@ Sign conventions, fixed once and pinned by the tests:
   so that ``d rho/dt = gamma (V rho V^dag - {V^dag V, rho}/2) - i [H, rho]``.
 * propagator of a slice ``X = exp(-dt L)``.
 
-Everything is dense; the target scale is a handful of qubits.
+:func:`liouvillians` is the one place L is built: the optimizer's slice
+stacks and the schedule's holds (through :func:`assemble_liouvillian`, its
+bounds-checked single-slice form) both come from it.  Everything is dense;
+the target scale is a handful of qubits.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ import numpy as np
 
 from . import _expm
 from .exceptions import NumericalHealthError
-from .qops import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, as_matrix, embed_local
+from .qops import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, as_matrix
 
 __all__ = [
-    "commutator_superop", "dissipator_superop", "assemble_liouvillian",
+    "commutator_superop", "dissipator_superop", "liouvillians", "assemble_liouvillian",
     "propagator", "expm_stack",
     "v_theta", "theta_generator", "theta_channel_exact",
     "ThetaChannelParams", "diag_channel_theta",
@@ -32,14 +35,22 @@ __all__ = [
 ]
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the last two axes, broadcast over the rest."""
+    n, m = a.shape[-1], b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (n * m, n * m))
+
+
 def commutator_superop(h) -> np.ndarray:
     """Superoperator H_hat with H_hat vec(rho) = vec(H rho - rho H).
 
-    Under column stacking this is ``1 kron H - H^T kron 1``.
+    Under column stacking this is ``1 kron H - H^T kron 1``.  A stack
+    (..., N, N) of operators gives the stack (..., N^2, N^2).
     """
     m = as_matrix(h)
-    ident = np.eye(m.shape[0])
-    return np.kron(ident, m) - np.kron(m.T, ident)
+    ident = np.eye(m.shape[-1])
+    return _kron(ident, m) - _kron(m.swapaxes(-1, -2), ident)
 
 
 def dissipator_superop(v) -> np.ndarray:
@@ -47,21 +58,48 @@ def dissipator_superop(v) -> np.ndarray:
 
     Gamma_hat vec(rho) = -vec(V rho V^dag - (V^dag V rho + rho V^dag V)/2),
     i.e. the dissipative part of the master equation enters as
-    ``d vec(rho)/dt = -gamma Gamma_hat vec(rho)``.
+    ``d vec(rho)/dt = -gamma Gamma_hat vec(rho)``.  Stacks (..., N, N) map
+    to stacks (..., N^2, N^2) as in :func:`commutator_superop`.
     """
     m = as_matrix(v)
-    ident = np.eye(m.shape[0])
-    vdv = m.conj().T @ m
-    d_hat = np.kron(m.conj(), m) - 0.5 * (np.kron(ident, vdv) + np.kron(vdv.T, ident))
+    ident = np.eye(m.shape[-1])
+    vdv = m.conj().swapaxes(-1, -2) @ m
+    d_hat = _kron(m.conj(), m) - 0.5 * (_kron(ident, vdv) + _kron(vdv.swapaxes(-1, -2), ident))
     return -d_hat
+
+
+def _operators(terms, dim: int) -> np.ndarray:
+    """The operators of controls or noises as one (count, N, N) stack."""
+    return np.array([as_matrix(t.operator) for t in terms], dtype=complex).reshape(-1, dim, dim)
+
+
+def liouvillians(system, u, gamma) -> np.ndarray:
+    """Slice generators L_k = i H_hat(H_0 + sum_j u_kj H_j) + sum_l gamma_kl Gamma_hat_l.
+
+    ``u`` (M, m) and ``gamma`` (M, l) hold one row of amplitudes per slice;
+    the result is the stack (M, N^2, N^2).  The Hamiltonian is summed in
+    Hilbert space before its one commutator superoperator is taken; the
+    background (non-switchable) noise of the system is added to every slice.
+    """
+    u = np.asarray(u, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    dim = system.dim
+    h = system.h0 + np.einsum("kj,jab->kab", u, _operators(system.controls, dim))
+    ell = 1j * commutator_superop(h)
+    ell += np.einsum("kl,lab->kab", gamma, dissipator_superop(_operators(system.noises, dim)))
+    for op, rate in system.background_noises:
+        if rate > 0:
+            ell += rate * dissipator_superop(op)
+    return ell
 
 
 def assemble_liouvillian(system, u, gamma) -> np.ndarray:
     """Build L = i H_hat(H_0 + sum_j u_j H_j) + sum_l gamma_l Gamma_hat_l.
 
-    ``u`` are unbounded real coherent amplitudes, one per control;
-    ``gamma`` must lie in [0, gamma_max] for each switchable noise channel.
-    Background (non-switchable) noise terms of the system are always added.
+    The bounds-checked single-slice form of :func:`liouvillians`: ``u`` are
+    unbounded real coherent amplitudes, one per control; ``gamma`` must lie
+    in [0, gamma_max] for each switchable noise channel.  Background
+    (non-switchable) noise terms of the system are always added.
     """
     u = np.asarray(u, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -73,14 +111,7 @@ def assemble_liouvillian(system, u, gamma) -> np.ndarray:
         if g < 0 or g > noise.gamma_max:
             raise ValueError(
                 f"noise amplitude {g} for '{noise.label}' outside [0, {noise.gamma_max}]")
-    ell = 1j * commutator_superop(system.h0) + system.background_superop()
-    for amp, ctrl in zip(u, system.controls):
-        if amp != 0.0:
-            ell = ell + (1j * amp) * commutator_superop(ctrl.operator)
-    for g, noise in zip(gamma, system.noises):
-        if g != 0.0:
-            ell = ell + g * dissipator_superop(noise.operator)
-    return ell
+    return liouvillians(system, u[None], gamma[None])[0]
 
 
 def propagator(ell: np.ndarray, dt: float) -> np.ndarray:

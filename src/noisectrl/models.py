@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .lindblad import dissipator_superop, v_theta
+from .lindblad import v_theta
 from .qops import (DensityOperator, IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Y,
                    SIGMA_Z, as_matrix, embed_local)
 
@@ -78,13 +78,6 @@ class ControlSystem:
     @property
     def gamma_bounds(self) -> np.ndarray:
         return np.array([noise.gamma_max for noise in self.noises])
-
-    def background_superop(self) -> np.ndarray:
-        out = np.zeros((self.dim ** 2, self.dim ** 2), dtype=complex)
-        for op, rate in self.background_noises:
-            if rate > 0:
-                out = out + rate * dissipator_superop(op)
-        return out
 
     def control_labels(self) -> list[str]:
         return [c.label for c in self.controls]

@@ -21,7 +21,8 @@ import numpy as np
 import scipy.optimize
 
 from .exceptions import NumericalHealthError
-from .lindblad import commutator_superop, dissipator_superop, expm_stack as _expm_stack
+from .lindblad import (_operators, commutator_superop, dissipator_superop,
+                       expm_stack as _expm_stack, liouvillians)
 from .qops import as_matrix, unvec, vec
 
 __all__ = [
@@ -97,20 +98,15 @@ class Trajectory:
         return unvec(self.states[-1])
 
 
-def _superop_stacks(system):
-    base = 1j * commutator_superop(system.h0) + system.background_superop()
-    ch = np.array([1j * commutator_superop(c.operator) for c in system.controls])
-    cg = np.array([dissipator_superop(nz.operator) for nz in system.noises])
-    return base, ch, cg
+def _directions(system):
+    """Generator derivatives dL/du_j = i H_hat(H_j), then dL/dgamma_l = Gamma_hat(V_l)."""
+    return np.concatenate([1j * commutator_superop(_operators(system.controls, system.dim)),
+                           dissipator_superop(_operators(system.noises, system.dim))])
 
 
-def _liouvillians(base, ch, cg, u, gamma):
-    ell = np.broadcast_to(base, (u.shape[0],) + base.shape).copy()
-    if ch.size:
-        ell += np.einsum("kj,jab->kab", u, ch)
-    if cg.size:
-        ell += np.einsum("kl,lab->kab", gamma, cg)
-    return ell
+def _check_fd_step(fd_step):
+    if fd_step is not None and not fd_step > 0:
+        raise ValueError("fd_step must be positive")
 
 
 def _check_sequence(problem, seq):
@@ -127,23 +123,22 @@ def _check_sequence(problem, seq):
         raise ValueError("sequence duration does not match the problem horizon")
 
 
-def _forward_states(problem, seq):
-    base, ch, cg = _superop_stacks(problem.system)
-    ell = _liouvillians(base, ch, cg, seq.u, seq.gamma)
+def _forward(problem, u, gamma):
+    """Slice generators L, propagators X = exp(-dt L) and the forward states f."""
+    ell = liouvillians(problem.system, u, gamma)
     x = _expm_stack(-problem.dt * ell)
-    m = seq.slice_count
-    f = np.empty((m + 1, x.shape[-1]), dtype=complex)
+    f = np.empty((len(x) + 1, x.shape[-1]), dtype=complex)
     f[0] = vec(as_matrix(problem.rho0))
-    for k in range(m):
+    for k in range(len(x)):
         f[k + 1] = x[k] @ f[k]
-    return x, f
+    return ell, x, f
 
 
 def propagate(problem: TransferProblem, seq: ControlSequence,
               health_atol: float = 1e-6) -> Trajectory:
     """Propagate slice by slice, recording every state and its spectrum."""
     _check_sequence(problem, seq)
-    _, f = _forward_states(problem, seq)
+    _, _, f = _forward(problem, seq.u, seq.gamma)
     m = seq.slice_count
     dim = problem.system.dim
     spectra = np.empty((m + 1, dim))
@@ -164,24 +159,18 @@ def propagate(problem: TransferProblem, seq: ControlSequence,
 def error(problem: TransferProblem, seq: ControlSequence) -> float:
     """Frobenius distance of the propagated final state to the target."""
     _check_sequence(problem, seq)
-    _, f = _forward_states(problem, seq)
+    _, _, f = _forward(problem, seq.u, seq.gamma)
     if not np.all(np.isfinite(f[-1])):
         raise NumericalHealthError("propagation produced non-finite state")
     return float(np.linalg.norm(f[-1] - vec(as_matrix(problem.target))))
 
 
-def _error_and_gradient(problem, u, gamma, stacks, fd_step):
+def _error_and_gradient(problem, u, gamma, directions, fd_step):
     """delta_F^2 and its gradient, columns ordered controls then noises."""
-    base, ch, cg = stacks
+    ell, x, f = _forward(problem, u, gamma)
     dt = problem.dt
     m = u.shape[0]
-    ell = _liouvillians(base, ch, cg, u, gamma)
-    x = _expm_stack(-dt * ell)
     dim2 = x.shape[-1]
-    f = np.empty((m + 1, dim2), dtype=complex)
-    f[0] = vec(as_matrix(problem.rho0))
-    for k in range(m):
-        f[k + 1] = x[k] @ f[k]
     r = f[m] - vec(as_matrix(problem.target))
     e2 = float(np.vdot(r, r).real)
 
@@ -190,7 +179,6 @@ def _error_and_gradient(problem, u, gamma, stacks, fd_step):
     for k in range(m - 1, 0, -1):
         b[k - 1] = x[k].conj().T @ b[k]
 
-    directions = np.concatenate([ch, cg]) if cg.size else ch
     amps = np.concatenate([u, gamma], axis=1)
     if fd_step is None:
         s = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(amps))
@@ -214,10 +202,9 @@ def gradient(problem: TransferProblem, seq: ControlSequence,
     (1 + |amplitude|) per element; pass ``fd_step`` to override.
     """
     _check_sequence(problem, seq)
-    if fd_step is not None and fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    stacks = _superop_stacks(problem.system)
-    _, grad = _error_and_gradient(problem, seq.u, seq.gamma, stacks, fd_step)
+    _check_fd_step(fd_step)
+    _, grad = _error_and_gradient(problem, seq.u, seq.gamma, _directions(problem.system),
+                                  fd_step)
     return grad
 
 
@@ -241,14 +228,16 @@ def optimize(problem: TransferProblem, init: ControlSequence,
     """Minimize delta_F over bounded amplitudes from a given start.
 
     Stops when delta_F <= tol, on stall, or after ``max_iters`` iterations;
-    the returned history holds delta_F per objective evaluation, and the
+    the returned history holds delta_F per objective evaluation, the
+    reported ``iterations`` counts completed L-BFGS iterations, and the
     reported sequence is the best one seen.
     """
     _check_sequence(problem, init)
+    _check_fd_step(fd_step)
     m = init.slice_count
     n_c = init.u.shape[1]
     n_g = init.gamma.shape[1]
-    stacks = _superop_stacks(problem.system)
+    directions = _directions(problem.system)
     bounds = [(None, None)] * (m * n_c)
     for g_max in problem.system.gamma_bounds:
         bounds.extend([(0.0, g_max)] * m)
@@ -258,11 +247,16 @@ def optimize(problem: TransferProblem, init: ControlSequence,
 
     history: list[float] = []
     best = {"err": np.inf, "x": x0}
+    iterations = 0
+
+    def count_iteration(*_):
+        nonlocal iterations
+        iterations += 1
 
     def objective(xflat):
         u = xflat[:m * n_c].reshape(m, n_c)
         gamma = xflat[m * n_c:].reshape(n_g, m).T
-        e2, grad = _error_and_gradient(problem, u, gamma, stacks, fd_step)
+        e2, grad = _error_and_gradient(problem, u, gamma, directions, fd_step)
         if not np.isfinite(e2):
             raise NumericalHealthError("objective became non-finite")
         err = float(np.sqrt(e2))
@@ -276,18 +270,15 @@ def optimize(problem: TransferProblem, init: ControlSequence,
         return e2, gflat
 
     converged = False
-    message = ""
-    iterations = 0
     try:
         res = scipy.optimize.minimize(
             objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+            callback=count_iteration,
             options=dict(maxiter=max_iters, ftol=0.0, gtol=1e-16, maxcor=20))
-        iterations = int(res.nit)
         message = str(res.message)
     except _ToleranceReached:
         converged = True
         message = "tolerance reached"
-        iterations = len(history)
     if best["err"] <= tol:
         converged = True
 
@@ -336,6 +327,7 @@ def optimize_restarts(problem: TransferProblem, restarts: int = 9, seed: int = 0
     Returns ``(best_result, all_final_errors)``; stops early once a
     restart reaches the tolerance.
     """
+    _check_fd_step(fd_step)
     best = None
     finals = []
     for r in range(restarts):

@@ -8,21 +8,20 @@ Conventions used throughout the package:
 * Vectorization is column stacking: entry ``(i, j)`` of a matrix maps to
   vector index ``j*N + i``, so that ``vec(A rho B) = (B^T kron A) vec(rho)``.
 
-All functions accept either bare ``numpy`` arrays or the wrapper types
-defined here.
+All functions accept either bare ``numpy`` arrays or the
+:class:`DensityOperator` wrapper defined here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SIGMA_MINUS", "SIGMA_PLUS", "IDENTITY_2",
-    "DensityOperator", "HermitianOperator", "LindbladOperator",
-    "as_matrix", "embed_local", "vec", "unvec", "frobenius_error",
-    "sorted_spectrum", "random_density",
+    "DensityOperator", "as_matrix", "embed_local", "vec", "unvec",
+    "frobenius_error", "sorted_spectrum", "random_density",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -47,25 +46,6 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex, order="C")
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    """Hermitian matrix, symmetrized on construction."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > HERM_ATOL:
-            raise ValueError("matrix is not Hermitian within 1e-12")
-        object.__setattr__(self, "matrix", _frozen_array((m + m.conj().T) / 2))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -100,26 +80,6 @@ class DensityOperator:
 
     def spectrum(self) -> np.ndarray:
         return sorted_spectrum(self)
-
-
-@dataclass(frozen=True)
-class LindbladOperator:
-    """Noise generator matrix; need not be Hermitian."""
-
-    matrix: np.ndarray
-    label: str = field(default="V")
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("non-finite entries in Lindblad operator")
-        object.__setattr__(self, "matrix", _frozen_array(m))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def embed_local(op, site: int, n: int) -> np.ndarray:

@@ -73,19 +73,19 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
     """Apply a schedule to a state.
 
     Returns the final density matrix, or ``(final, times, spectra)`` with
-    one row per segment boundary when ``record`` is set.  Hold propagators
-    are memoized on (amplitudes, duration), which collapses the cost of
-    the long repetitive decoupling trains.
+    one row per segment boundary when ``record`` is set.  The state stays a
+    matrix: a unitary acts as ``U rho U^dag``, a hold as its propagator on
+    ``vec(rho)``.  Hold propagators are memoized on (amplitudes, duration),
+    which collapses the cost of the long repetitive decoupling trains.
     """
-    v = vec(as_matrix(rho0))
+    rho = as_matrix(rho0)
     cache: dict = {}
     times = [0.0]
-    spectra = [sorted_spectrum(unvec(v))] if record else None
+    spectra = [sorted_spectrum(rho)] if record else None
     t = 0.0
     for seg in schedule.segments:
         if isinstance(seg, UnitarySegment):
-            u_mat = seg.unitary
-            v = np.kron(u_mat.conj(), u_mat) @ v
+            rho = seg.unitary @ rho @ seg.unitary.conj().T
             t += seg.charged_duration
         else:
             key = (seg.u.tobytes(), seg.gamma.tobytes(), seg.duration)
@@ -94,12 +94,11 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
                 ell = assemble_liouvillian(system, seg.u, seg.gamma)
                 x = propagator(ell, seg.duration)
                 cache[key] = x
-            v = x @ v
+            rho = unvec(x @ vec(rho))
             t += seg.duration
         if record:
             times.append(t)
-            spectra.append(sorted_spectrum(unvec(v)))
-    rho = unvec(v)
+            spectra.append(sorted_spectrum(rho))
     rho = (rho + rho.conj().T) / 2
     if abs(np.trace(rho).real - 1.0) > 1e-8:
         raise NumericalHealthError("schedule propagation lost trace normalization")

@@ -215,3 +215,38 @@ def test_numerical_failure_exit_code(tmp_path):
     path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", str(path), "--out",
                  str(tmp_path / "x")]) == 3
+
+
+class TestDiagnostics:
+    def test_nonpositive_fd_step_is_flagged(self, tmp_path):
+        cfg = {
+            "mode": "optimize",
+            "system": {"model": "ising_chain", "n": 1, "noise": "bitflip",
+                       "gamma_star": 5.0},
+            "initial": {"state": "zero"},
+            "target": {"state": "thermal"},
+            "horizon": {"T": 6.0, "slices": 10},
+            "optimizer": {"restarts": 1, "max_iters": 3, "fd_step": -1},
+        }
+        assert validate(cfg, "optimize") == ["optimizer: fd_step must be positive"]
+        path = write_config(tmp_path, cfg)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert main(["optimize", "--config", str(path), "--out",
+                     str(tmp_path / "x")]) == 2
+
+    def test_bad_system_gives_one_diagnostic(self, tmp_path, capsys):
+        cfg = base_simulate_config()
+        cfg["system"]["noisy_site"] = 9
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path), "--out",
+                     str(tmp_path / "x")]) == 2
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert lines == ["config error: system: noisy site 9 out of range"]
+
+    def test_state_with_own_size_is_still_checked(self):
+        cfg = base_simulate_config()
+        cfg["system"]["noisy_site"] = 9
+        cfg["target"] = {"state": "random", "n": 2}
+        diags = validate(cfg, "simulate")
+        assert diags[0].startswith("system:")
+        assert len(diags) == 2 and diags[1].startswith("target:")

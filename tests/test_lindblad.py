@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisectrl.exceptions import NumericalHealthError
 from noisectrl.lindblad import (BathParams, ThetaChannelParams,
@@ -8,6 +9,7 @@ from noisectrl.lindblad import (BathParams, ThetaChannelParams,
                                 heat_bath_generator, propagator,
                                 theta_channel_exact, theta_generator,
                                 trotter_decoupled_propagator, v_theta)
+from noisectrl.lindblad import liouvillians
 from noisectrl.models import ising_chain
 from noisectrl.qops import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             embed_local, random_density, unvec, vec)
@@ -107,6 +109,77 @@ class TestAssembleLiouvillian:
             assemble_liouvillian(sys1, np.zeros(2), np.array([5.5]))
         with pytest.raises(ValueError):
             assemble_liouvillian(sys1, np.zeros(2), np.array([-0.1]))
+
+
+def random_operators(rng, count, dim, hermitian):
+    a = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    return (a + a.conj().swapaxes(-1, -2)) / 2 if hermitian else a
+
+
+class TestBatchedSuperops:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 4),
+           dim=st.sampled_from([2, 3, 4, 8]))
+    def test_commutator_stack_matches_per_matrix_kron(self, seed, count, dim):
+        hs = random_operators(np.random.default_rng(seed), count, dim, hermitian=True)
+        got = commutator_superop(hs)
+        assert got.shape == (count, dim * dim, dim * dim)
+        ident = np.eye(dim)
+        for k, h in enumerate(hs):
+            np.testing.assert_array_equal(got[k], np.kron(ident, h) - np.kron(h.T, ident))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 4),
+           dim=st.sampled_from([2, 4]))
+    def test_dissipator_stack_matches_single_operators(self, seed, count, dim):
+        vs = random_operators(np.random.default_rng(seed), count, dim, hermitian=False)
+        got = dissipator_superop(vs)
+        for k, v in enumerate(vs):
+            np.testing.assert_array_equal(got[k], dissipator_superop(v))
+
+    def test_stack_shape_is_kept(self):
+        hs = random_operators(np.random.default_rng(1), 6, 4, hermitian=True).reshape(2, 3, 4, 4)
+        got = commutator_superop(hs)
+        assert got.shape == (2, 3, 16, 16)
+        np.testing.assert_array_equal(got[1, 2], commutator_superop(hs[1, 2]))
+
+
+class TestLiouvillians:
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_slices_match_single_slice_assembly_with_background(self, seed):
+        system = ising_chain(3, gamma_star=5.0, dephasing=0.2)
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((4, len(system.controls)))
+        gamma = rng.uniform(0.0, 5.0, size=(4, 1))
+        ells = liouvillians(system, u, gamma)
+        assert ells.shape == (4, 64, 64)
+        for k in range(4):
+            np.testing.assert_allclose(ells[k], assemble_liouvillian(system, u[k], gamma[k]),
+                                       rtol=0, atol=1e-13)
+
+    def test_sum_of_terms(self):
+        # the generator is the drift, each control, each noise and the
+        # background, built term by term from the primitives
+        system = ising_chain(2, gamma_star=5.0, dephasing=0.3)
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal(len(system.controls))
+        gamma = np.array([1.5])
+        expected = 1j * commutator_superop(system.h0)
+        for amp, ctrl in zip(u, system.controls):
+            expected = expected + 1j * amp * commutator_superop(ctrl.operator)
+        expected = expected + gamma[0] * dissipator_superop(system.noises[0].operator)
+        for op, rate in system.background_noises:
+            expected = expected + rate * dissipator_superop(op)
+        np.testing.assert_allclose(liouvillians(system, u[None], gamma[None])[0], expected,
+                                   rtol=0, atol=1e-13)
+
+    def test_dephasing_background_decays_coherence(self):
+        # sigma_z/2 at rate g on one qubit damps |0><1| at rate g/2
+        system = ising_chain(1, gamma_star=5.0, dephasing=0.4)
+        ell = assemble_liouvillian(system, np.zeros(2), np.zeros(1))
+        coh = vec(np.array([[0, 1], [0, 0]], dtype=complex))
+        np.testing.assert_allclose(ell @ coh, 0.2 * coh, atol=1e-15)
 
 
 class TestPropagator:

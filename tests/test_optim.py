@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from noisectrl.lindblad import assemble_liouvillian, propagator
 from noisectrl.models import ising_chain, thermal_state, zero_state
 from noisectrl.optim import (ControlSequence, TransferProblem, error, gradient,
                              optimize, optimize_restarts, propagate,
@@ -228,3 +229,50 @@ def test_optimize_restarts_improves_and_stops_early():
     best, finals = optimize_restarts(problem, restarts=5, seed=0, tol=1e-6)
     assert best.final_error <= 1e-6
     assert len(finals) <= 5
+
+
+class TestFdStepValidation:
+    def test_optimize_and_restarts_reject_nonpositive_step(self):
+        system = ising_chain(1, noise_kind="bitflip", gamma_star=5.0)
+        problem = TransferProblem(system, zero_state(1), thermal_state(1), 1.0, 4)
+        init = random_sequence(problem, 0)
+        for step in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="fd_step"):
+                optimize(problem, init, max_iters=2, fd_step=step)
+            with pytest.raises(ValueError, match="fd_step"):
+                optimize_restarts(problem, restarts=1, max_iters=2, fd_step=step)
+
+
+class TestIterations:
+    def test_counts_lbfgs_iterations_when_tolerance_is_hit(self):
+        # every L-BFGS iteration costs at least one evaluation after the
+        # initial one, so the count stays below the evaluation count
+        system = ising_chain(1, noise_kind="bitflip", gamma_star=5.0)
+        problem = TransferProblem(system, zero_state(1), thermal_state(1), 6.0, 12)
+        result = optimize(problem, random_sequence(problem, 1), tol=1e-6)
+        assert result.converged
+        assert 1 <= result.iterations < len(result.error_history)
+
+    def test_counts_lbfgs_iterations_at_the_budget(self):
+        system = ising_chain(2, gamma_star=5.0)
+        problem = TransferProblem(system, random_density(2, 31), random_density(2, 32),
+                                  4.0, 16)
+        result = optimize(problem, random_sequence(problem, 33), max_iters=7, tol=1e-12)
+        assert not result.converged
+        assert result.iterations == 7
+        assert len(result.error_history) > 7
+
+
+def test_error_with_background_dephasing_matches_slice_assembly():
+    # the optimizer's batched generators carry the background noise exactly
+    # as the single-slice builder does
+    system = ising_chain(3, gamma_star=5.0, dephasing=0.2)
+    problem = TransferProblem(system, random_density(3, 2), thermal_state(3), 1.2, 6)
+    seq = random_sequence(problem, seed=3)
+    v = vec(problem.rho0.matrix)
+    for k in range(seq.slice_count):
+        v = propagator(assemble_liouvillian(system, seq.u[k], seq.gamma[k]), seq.dt) @ v
+    expected = np.linalg.norm(v - vec(problem.target.matrix))
+    assert abs(error(problem, seq) - expected) < 1e-12
+    traj = propagate(problem, seq)
+    np.testing.assert_allclose(traj.states[-1], v, rtol=0, atol=1e-12)
