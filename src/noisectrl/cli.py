@@ -19,15 +19,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from math import comb
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import models, optim, protocols, reach
 from .exceptions import ConfigurationError, NumericalHealthError, ReachabilityError
-from .qops import DensityOperator, as_matrix, frobenius_error, sorted_spectrum, vec, random_density
+from .qops import (SIGMA_MINUS, SIGMA_X, DensityOperator, as_matrix, embed_local,
+                   frobenius_error, random_density, sorted_spectrum, vec)
 from .schedule import HoldSegment, Schedule, UnitarySegment, propagate_schedule
 
 MODES = ("simulate", "optimize", "hlp", "protocol", "controllability", "majorize")
@@ -39,158 +41,206 @@ EXIT_REACHABILITY = 4
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# config loading: each section is read, checked and built once, here
+
+_REQUIRED = object()
+_KINDS = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string",
+          list: "an array"}
+# (test, wording) rules for _get
+_POSITIVE = (lambda v: v > 0, "positive")
+_NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
+_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+_STATES = {"thermal": models.thermal_state, "zero": models.zero_state,
+           "ghz": models.ghz_state, "random": random_density}
+# each protocol's noise kind and its local operator, switchable on the last qubit
+_PROTOCOL_NOISE = {"init": ("amp", SIGMA_MINUS), "erase_amp": ("amp", SIGMA_MINUS),
+                   "erase_bitflip": ("bitflip", SIGMA_X / 2)}
+
 
 def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def validate(config: dict, mode: str | None = None) -> list[str]:
-    """Collect configuration diagnostics without running anything."""
-    diags: list[str] = []
+def _is(value, kind) -> bool:
+    """JSON type test: booleans are not numbers, and numbers are finite."""
+    if kind is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+
+
+def _get(sec: dict, key: str, kind, default=_REQUIRED, rule=None):
+    """``sec[key]`` of type ``kind`` obeying ``rule``, or a ValueError naming the key."""
+    value = sec.get(key, default)
+    if value is _REQUIRED:
+        raise ValueError(f"{key} is required")
+    if value is None and default is None:
+        return None
+    if not _is(value, kind):
+        raise ValueError(f"{key} must be {_KINDS[kind]}")
+    if rule is not None and not rule[0](value):
+        raise ValueError(f"{key} must be {rule[1]}")
+    return float(value) if kind is float else value
+
+
+def _section(config: dict, name: str, required: bool = True) -> dict:
+    sec = config.get(name, None if required else {})
+    if not isinstance(sec, dict):
+        raise ValueError("must be an object" if name in config else "missing section")
+    return sec
+
+
+def load(config, mode: str | None = None, seed: int | None = None):
+    """Read, check and build each section ``mode`` needs, each exactly once.
+
+    Returns ``(built, diagnostics)``; ``built`` is what the mode's runner takes,
+    complete only without diagnostics.  ``seed`` overrides the config's.  A
+    section whose inputs already failed is skipped, so each fault is reported once.
+    """
     if not isinstance(config, dict):
-        return ["config root must be a JSON object"]
+        return {}, ["config root must be a JSON object"]
+    diags: list[str] = []
+
+    @contextmanager
+    def section(name):
+        try:
+            yield
+        except (ValueError, TypeError, OverflowError, ConfigurationError) as exc:
+            diags.append(f"{name}: {exc}")
+
     cfg_mode = config.get("mode")
     if cfg_mode is not None and cfg_mode not in MODES:
         diags.append(f"mode: unknown mode {cfg_mode!r}")
     if mode and cfg_mode is not None and cfg_mode != mode:
         diags.append(f"mode: config says {cfg_mode!r} but subcommand is {mode!r}")
     mode = mode or cfg_mode
+    seed = config.get("seed", 0) if seed is None else seed
+    if not (_is(seed, int) and seed >= 0):
+        diags.append("seed: must be a nonnegative integer")
+        seed = 0    # so that the sections drawing from the seed are still checked
+    if not isinstance(config.get("out", "."), str):
+        diags.append("out: must be a string")
+    built = {"seed": seed, "out": Path(str(config.get("out", ".")))}
 
-    system = None
-    system_failed = False
-    sys_cfg = config.get("system")
+    system = coupling = None
     if mode in ("simulate", "optimize", "hlp", "protocol", "controllability"):
-        if not isinstance(sys_cfg, dict):
-            diags.append("system: missing section")
-        else:
-            try:
-                system = _build_system(sys_cfg)
-            except (ConfigurationError, ValueError, KeyError, TypeError) as exc:
-                diags.append(f"system: {exc}")
-                system_failed = True
+        with section("system"):
+            sec = _section(config, "system")
+            model = _get(sec, "model", str)
+            gamma_star = _get(sec, "gamma_star", float, 5.0, _POSITIVE)
+            coupling = _get(sec, "coupling", float, 1.0, _POSITIVE)
+            noise = sec.get("noise", "amp")
+            if isinstance(noise, dict):
+                noise = _get(noise, "theta", float)
+            elif noise not in ("amp", "bitflip"):
+                raise ValueError(f"unknown noise {noise!r}")
+            if model == "ion_trap":
+                system = models.ion_trap_model(gamma_star=gamma_star)
+            elif model == "ising_chain":
+                system = models.ising_chain(
+                    n=_get(sec, "n", int), coupling=coupling, noise_kind=noise,
+                    noisy_site=_get(sec, "noisy_site", int, None), gamma_star=gamma_star,
+                    dephasing=_get(sec, "dephasing", float, None, _NONNEGATIVE))
+            else:
+                raise ValueError(f"unknown model {model!r}")
 
-    for key in ("initial", "target"):
-        st_cfg = config.get(key)
-        needs = mode in ("simulate", "optimize", "hlp", "majorize")
-        if st_cfg is None:
-            if needs:
-                diags.append(f"{key}: missing section")
-            continue
-        # without a system there is no qubit count to size the state with
-        if (system_failed and isinstance(st_cfg, dict) and "n" not in st_cfg
-                and st_cfg.get("state") != "spectrum"):
-            continue
-        try:
-            state = _build_state(st_cfg, system.n if system else None)
-            if system is not None and state.dim != system.dim:
-                diags.append(f"{key}: dimension {state.dim} does not match system "
-                             f"dimension {system.dim}")
-        except (ValueError, KeyError, TypeError) as exc:
-            diags.append(f"{key}: {exc}")
+    state_modes = ("simulate", "optimize", "hlp", "majorize")
+    for key in ("initial", "target") if mode in state_modes else ():
+        with section(key):
+            sec = _section(config, key)
+            name = _get(sec, "state", str)
+            if name == "spectrum":
+                values = np.asarray(_get(sec, "values", list), dtype=float)
+                if values.ndim != 1 or not (abs(values.sum() - 1.0) <= 1e-9
+                                            and values.min() >= -1e-12):
+                    raise ValueError("spectrum must be a probability vector")
+                state = DensityOperator(np.diag(np.sort(values)[::-1]).astype(complex))
+            elif name not in _STATES:
+                raise ValueError(f"unknown state {name!r}")
+            elif system is None and mode != "majorize" and "n" not in sec:
+                continue    # no system to size the state with; its fault is reported
+            else:
+                n = _get(sec, "n", int, _REQUIRED if system is None else system.n, _AT_LEAST_1)
+                seed_arg = [_get(sec, "seed", int, rule=_NONNEGATIVE)] if name == "random" else []
+                state = _STATES[name](n, *seed_arg)
+            dim = (system or built.get("initial", state)).dim
+            if state.dim != dim:
+                raise ValueError(f"dimension {state.dim} does not match "
+                                 f"{'system' if system else 'initial'} dimension {dim}")
+            built[key] = state
 
     if mode in ("simulate", "optimize"):
-        hz = config.get("horizon")
-        if not isinstance(hz, dict):
-            diags.append("horizon: missing section")
-        else:
-            if not hz.get("T", 0) > 0:
-                diags.append("horizon: T must be positive")
-            if not int(hz.get("slices", 0)) >= 1:
-                diags.append("horizon: slices must be at least 1")
+        with section("horizon"):
+            sec = _section(config, "horizon")
+            total_time = _get(sec, "T", float, rule=_POSITIVE)
+            slices = _get(sec, "slices", int, rule=_AT_LEAST_1)
+            if system is not None and "initial" in built and "target" in built:
+                built["problem"] = optim.TransferProblem(system, built["initial"],
+                                                         built["target"], total_time, slices)
+    problem = built.get("problem")
+
+    if mode == "simulate" and problem is not None:
+        with section("sequence"):
+            sec = _section(config, "sequence", required=False)
+            style = _get(sec, "style", str, "zero")
+            if sec.get("u") is not None or sec.get("gamma") is not None:
+                seq = optim.ControlSequence(problem.dt, _get(sec, "u", list),
+                                            _get(sec, "gamma", list))
+            elif style in ("zero", "full_noise"):
+                u = np.zeros((slices, len(system.controls)))
+                gamma = np.tile(system.gamma_bounds, (slices, 1)) * (style == "full_noise")
+                seq = optim.ControlSequence(problem.dt, u, gamma)
+            elif style in ("uniform_random", "noise_blocks"):
+                u_scale = _get(sec, "u_scale", float, 1.0, _NONNEGATIVE)
+                blocks = None
+                if style == "noise_blocks":
+                    blocks = _get(sec, "blocks", int, 3, _AT_LEAST_1)
+                seq = optim.random_sequence(problem, seed, noise_blocks=blocks, u_scale=u_scale)
+            else:
+                raise ValueError(f"unknown style {style!r}")
+            optim._check_sequence(problem, seq)
+            built["sequence"] = seq
 
     if mode == "optimize":
-        opts = config.get("optimizer", {})
-        fd_step = opts.get("fd_step") if isinstance(opts, dict) else None
-        if fd_step is not None and not (isinstance(fd_step, (int, float)) and fd_step > 0):
-            diags.append("optimizer: fd_step must be positive")
-
-    seq_cfg = config.get("sequence", {})
-    if mode == "simulate" and system is not None and isinstance(seq_cfg, dict):
-        gamma = seq_cfg.get("gamma")
-        if gamma is not None:
-            g = np.asarray(gamma, dtype=float)
-            bounds = system.gamma_bounds
-            if g.ndim != 2 or g.shape[1] != len(bounds):
-                diags.append("sequence: gamma must be an M x n_noises array")
-            elif np.any(g < 0) or np.any(g > bounds[None, :]):
-                diags.append("sequence: gamma outside [0, gamma_max]")
-
-    if mode == "protocol":
-        pr = config.get("protocol")
-        if not isinstance(pr, dict):
-            diags.append("protocol: missing section")
-        elif pr.get("kind") not in ("init", "erase_amp", "erase_bitflip"):
-            diags.append(f"protocol: unknown kind {pr.get('kind')!r}")
-        elif pr.get("kind") != "erase_amp" and not pr.get("noise_time", 0) >= 0:
-            diags.append("protocol: noise_time must be nonnegative")
+        with section("optimizer"):
+            sec = _section(config, "optimizer", required=False)
+            built["optimizer"] = dict(
+                restarts=_get(sec, "restarts", int, 9, _AT_LEAST_1), seed=seed,
+                noise_blocks=_get(sec, "noise_blocks", int, None, _AT_LEAST_1),
+                u_scale=_get(sec, "u_scale", float, 1.0, _NONNEGATIVE),
+                max_iters=_get(sec, "max_iters", int, 500, _AT_LEAST_1),
+                tol=_get(sec, "tol", float, 1e-6, _NONNEGATIVE),
+                fd_step=_get(sec, "fd_step", float, None, _POSITIVE))
 
     if mode == "hlp":
-        hl = config.get("hlp", {})
-        if isinstance(hl, dict):
-            if hl.get("residual_target", 1e-4) <= 0:
-                diags.append("hlp: residual_target must be positive")
-            if int(hl.get("trotter_steps", 64)) < 1:
-                diags.append("hlp: trotter_steps must be at least 1")
-    return diags
+        with section("hlp"):
+            sec = _section(config, "hlp", required=False)
+            built["hlp"] = dict(
+                residual_target=_get(sec, "residual_target", float, 1e-4, _POSITIVE),
+                trotter_steps=_get(sec, "trotter_steps", int, 64, _AT_LEAST_1),
+                execute=_get(sec, "execute", bool, True))
+
+    if mode == "protocol" and system is not None:
+        with section("protocol"):
+            sec = _section(config, "protocol")
+            kind = _get(sec, "kind", str)
+            if kind not in _PROTOCOL_NOISE:
+                raise ValueError(f"unknown kind {kind!r}")
+            # the closed forms hold only for their own noise on the last qubit
+            noise, local = _PROTOCOL_NOISE[kind]
+            if not np.allclose(system.noises[0].operator, embed_local(local, system.n, system.n)):
+                raise ValueError(f"{kind!r} needs {noise} noise on the last qubit, "
+                                 f"system has {system.noises[0].label!r}")
+            noise_time = _get(sec, "noise_time", float,
+                              None if kind == "erase_amp" else _REQUIRED, _NONNEGATIVE)
+            built["protocol"] = dict(kind=kind, coupling=coupling, noise_time=noise_time,
+                                     charge_swap_time=_get(sec, "charge_swap_time", bool, True))
+    built["system"] = system
+    return built, diags
 
 
-def _build_system(cfg: dict):
-    model = cfg.get("model")
-    if model == "ising_chain":
-        noise = cfg.get("noise", "amp")
-        if isinstance(noise, dict):
-            noise = float(noise["theta"])
-        return models.ising_chain(
-            n=int(cfg["n"]), coupling=float(cfg.get("coupling", 1.0)),
-            noise_kind=noise, noisy_site=cfg.get("noisy_site"),
-            gamma_star=float(cfg.get("gamma_star", 5.0)),
-            dephasing=cfg.get("dephasing"))
-    if model == "ion_trap":
-        return models.ion_trap_model(gamma_star=float(cfg.get("gamma_star", 5.0)))
-    raise ConfigurationError(f"unknown model {model!r}")
-
-
-def _build_state(cfg: dict, n: int | None) -> DensityOperator:
-    name = cfg.get("state")
-    if name == "thermal":
-        return models.thermal_state(int(cfg.get("n", n)))
-    if name == "zero":
-        return models.zero_state(int(cfg.get("n", n)))
-    if name == "ghz":
-        return models.ghz_state(int(cfg.get("n", n)))
-    if name == "random":
-        return random_density(int(cfg.get("n", n)), int(cfg["seed"]))
-    if name == "spectrum":
-        values = np.asarray(cfg["values"], dtype=float)
-        if values.ndim != 1 or abs(values.sum() - 1.0) > 1e-9 or values.min() < -1e-12:
-            raise ValueError("spectrum must be a probability vector")
-        return DensityOperator(np.diag(np.sort(values)[::-1]).astype(complex))
-    raise ValueError(f"unknown state {name!r}")
-
-
-def _build_sequence(cfg: dict, problem, seed: int) -> optim.ControlSequence:
-    style = cfg.get("style", "zero")
-    if cfg.get("u") is not None or cfg.get("gamma") is not None:
-        u = np.asarray(cfg.get("u"), dtype=float)
-        gamma = np.asarray(cfg.get("gamma"), dtype=float)
-        return optim.ControlSequence(dt=problem.dt, u=u, gamma=gamma)
-    m = problem.slices
-    if style == "zero":
-        return optim.ControlSequence(
-            dt=problem.dt, u=np.zeros((m, len(problem.system.controls))),
-            gamma=np.zeros((m, len(problem.system.noises))))
-    if style == "full_noise":
-        return optim.ControlSequence(
-            dt=problem.dt, u=np.zeros((m, len(problem.system.controls))),
-            gamma=np.tile(problem.system.gamma_bounds, (m, 1)))
-    if style == "uniform_random":
-        return optim.random_sequence(problem, seed, u_scale=float(cfg.get("u_scale", 1.0)))
-    if style == "noise_blocks":
-        return optim.random_sequence(problem, seed,
-                                     noise_blocks=int(cfg.get("blocks", 3)),
-                                     u_scale=float(cfg.get("u_scale", 1.0)))
-    raise ConfigurationError(f"unknown sequence style {style!r}")
+def validate(config, mode: str | None = None) -> list[str]:
+    """Collect configuration diagnostics without running anything."""
+    return load(config, mode)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -234,98 +284,63 @@ def _write_result(path: Path, payload: dict):
         fh.write("\n")
 
 
-def _trajectory_errors(spectra_states, target_vec):
-    return [frobenius_error(state, target_vec) for state in spectra_states]
-
-
 # ---------------------------------------------------------------------------
-# mode runners
+# mode runners: each takes what load() built, never the raw config
 
-def _run_simulate(config, out, seed):
-    system = _build_system(config["system"])
-    rho0 = _build_state(config["initial"], system.n)
-    target = _build_state(config["target"], system.n)
-    hz = config["horizon"]
-    problem = optim.TransferProblem(system=system, rho0=rho0, target=target,
-                                    total_time=float(hz["T"]), slices=int(hz["slices"]))
-    seq = _build_sequence(config.get("sequence", {}), problem, seed)
+def _run_transfer(built, out):
+    """simulate and optimize: propagate the given or the optimized sequence."""
+    problem = built["problem"]
+    result = {"seed": built["seed"], "duration": problem.total_time}
+    if "optimizer" in built:
+        best, finals = optim.optimize_restarts(problem, **built["optimizer"])
+        seq = best.sequence
+        result.update({
+            "mode": "optimize",
+            "final_error": best.final_error,
+            "converged": bool(best.converged),
+            "iterations": int(best.iterations),
+            "error_history": [float(e) for e in best.error_history],
+            "restart_finals": [float(e) for e in finals],
+        })
+    else:
+        seq = built["sequence"]
     traj = optim.propagate(problem, seq)
-    tvec = vec(as_matrix(target))
-    errors = _trajectory_errors(traj.states, tvec)
+    tvec = vec(as_matrix(problem.target))
+    errors = [frobenius_error(state, tvec) for state in traj.states]
     _write_trajectory(out / "trajectory.csv", traj.times, traj.sorted_eigenvalues, errors)
-    _write_slices(out / "sequence.csv", system, seq)
-    _write_result(out / "result.json", {
-        "mode": "simulate", "seed": seed,
-        "final_error": errors[-1],
-        "duration": problem.total_time,
-        "slices": problem.slices,
-    })
+    _write_slices(out / "sequence.csv", problem.system, seq)
+    if "optimizer" not in built:
+        result.update({"mode": "simulate", "final_error": errors[-1], "slices": problem.slices})
+    _write_result(out / "result.json", result)
     return EXIT_OK
 
 
-def _run_optimize(config, out, seed):
-    system = _build_system(config["system"])
-    rho0 = _build_state(config["initial"], system.n)
-    target = _build_state(config["target"], system.n)
-    hz = config["horizon"]
-    problem = optim.TransferProblem(system=system, rho0=rho0, target=target,
-                                    total_time=float(hz["T"]), slices=int(hz["slices"]))
-    opts = config.get("optimizer", {})
-    best, finals = optim.optimize_restarts(
-        problem, restarts=int(opts.get("restarts", 9)), seed=seed,
-        noise_blocks=opts.get("noise_blocks"),
-        u_scale=float(opts.get("u_scale", 1.0)),
-        max_iters=int(opts.get("max_iters", 500)),
-        tol=float(opts.get("tol", 1e-6)),
-        fd_step=opts.get("fd_step"))
-    traj = optim.propagate(problem, best.sequence)
-    tvec = vec(as_matrix(target))
-    errors = _trajectory_errors(traj.states, tvec)
-    _write_trajectory(out / "trajectory.csv", traj.times, traj.sorted_eigenvalues, errors)
-    _write_slices(out / "sequence.csv", system, best.sequence)
-    _write_result(out / "result.json", {
-        "mode": "optimize", "seed": seed,
-        "final_error": best.final_error,
-        "converged": bool(best.converged),
-        "iterations": int(best.iterations),
-        "error_history": [float(e) for e in best.error_history],
-        "restart_finals": [float(e) for e in finals],
-        "duration": problem.total_time,
-    })
-    return EXIT_OK
-
-
-def _run_hlp(config, out, seed):
-    system = _build_system(config["system"])
-    rho0 = _build_state(config["initial"], system.n)
-    target = _build_state(config["target"], system.n)
-    hl = config.get("hlp", {})
+def _run_hlp(built, out):
+    system, rho0, target, hl = built["system"], built["initial"], built["target"], built["hlp"]
     plan = reach.plan_state_transfer(rho0, target,
                                      gamma_star=system.gamma_bounds.max(),
-                                     residual_target=float(hl.get("residual_target", 1e-4)))
+                                     residual_target=hl["residual_target"])
     payload = {
-        "mode": "hlp", "seed": seed,
+        "mode": "hlp", "seed": built["seed"],
         "total_dissipative_time": plan.total_dissipative_time,
         "predicted_residual": plan.predicted_residual,
         "steps": json.loads(plan.to_json())["steps"],
         "initial_spectrum": [float(v) for v in plan.initial_spectrum],
         "target_spectrum": [float(v) for v in plan.target_spectrum],
     }
-    if hl.get("execute", True):
-        trotter = int(hl.get("trotter_steps", 64))
+    if hl["execute"]:
+        trotter = hl["trotter_steps"]
         schedule = reach.hlp_execute(plan, system, trotter_steps=trotter)
         rho_f, times, spectra = propagate_schedule(system, schedule, rho0, record=True)
-        executed = frobenius_error(vec(rho_f), vec(as_matrix(target)))
-        tvec = vec(as_matrix(target))
-        # spectra carry segment-boundary rows; recompute distance rows cheaply
         payload.update({
             "trotter_steps": trotter,
-            "executed_residual": executed,
+            "executed_residual": frobenius_error(vec(rho_f), vec(as_matrix(target))),
             "executed_spectrum": [float(v) for v in sorted_spectrum(rho_f)],
             "predicted_executed_spectrum": [
                 float(v) for v in reach.predict_executed_spectrum(plan, system, trotter)],
         })
         _write_segments(out / "sequence.csv", schedule)
+        # spectra carry segment-boundary rows; recompute distance rows cheaply
         errs = [float(np.linalg.norm(np.sort(row)[::-1] - plan.target_spectrum))
                 for row in spectra]
         _write_trajectory(out / "trajectory.csv", times, spectra, errs)
@@ -333,54 +348,41 @@ def _run_hlp(config, out, seed):
     return EXIT_OK
 
 
-def _run_protocol(config, out, seed):
-    system = _build_system(config["system"])
-    pr = config["protocol"]
-    kind = pr["kind"]
-    gamma_star = system.gamma_bounds.max()
-    coupling = float(config["system"].get("coupling", 1.0))
-    charge = bool(pr.get("charge_swap_time", True))
-    n = system.n
+def _run_protocol(built, out):
+    system, pr = built["system"], built["protocol"]
+    kind, n, gamma_star = pr["kind"], system.n, system.gamma_bounds.max()
+    coupling, charge = pr["coupling"], pr["charge_swap_time"]
+    rho0, target = models.zero_state(n), models.thermal_state(n)
     if kind == "init":
-        report = protocols.init_protocol(n, gamma_star, coupling,
-                                         float(pr["noise_time"]), charge)
-        rho0, target = models.thermal_state(n), models.zero_state(n)
+        report = protocols.init_protocol(n, gamma_star, coupling, pr["noise_time"], charge)
+        rho0, target = target, rho0
     elif kind == "erase_amp":
         report = protocols.erase_protocol_amp(n, gamma_star, coupling, charge)
-        rho0, target = models.zero_state(n), models.thermal_state(n)
     else:
         report = protocols.erase_protocol_bitflip(n, gamma_star, coupling,
-                                                  float(pr["noise_time"]), charge)
-        rho0, target = models.zero_state(n), models.thermal_state(n)
-    expected_kind = {"init": "amp", "erase_amp": "amp", "erase_bitflip": "bitflip"}[kind]
-    if system.noises[0].kind != expected_kind:
-        raise ConfigurationError(
-            f"protocol '{kind}' needs {expected_kind} noise, system has "
-            f"'{system.noises[0].kind}'")
+                                                  pr["noise_time"], charge)
     rho_f, times, spectra = propagate_schedule(system, report.schedule, rho0, record=True)
-    simulated = frobenius_error(vec(rho_f), vec(as_matrix(target)))
     errs = [frobenius_error(vec(np.diag(np.sort(row)[::-1]).astype(complex)),
                             vec(as_matrix(target))) for row in spectra]
     _write_trajectory(out / "trajectory.csv", times, spectra, errs)
     _write_segments(out / "sequence.csv", report.schedule)
     _write_result(out / "result.json", {
-        "mode": "protocol", "seed": seed, "kind": kind,
+        "mode": "protocol", "seed": built["seed"], "kind": kind,
         "formula_id": report.formula_id,
         "predicted_error": report.predicted_error,
-        "simulated_error": simulated,
+        "simulated_error": frobenius_error(vec(rho_f), vec(as_matrix(target))),
         "predicted_duration": report.predicted_duration,
-        "swap_count": comb(n, 2),
+        "swap_count": math.comb(n, 2),
     })
     return EXIT_OK
 
 
-def _run_controllability(config, out, seed):
-    system = _build_system(config["system"])
-    gens = [system.h0] + [c.operator for c in system.controls]
-    dim = reach.lie_closure_dimension(gens)
+def _run_controllability(built, out):
+    system = built["system"]
+    dim = reach.lie_closure_dimension([system.h0] + [c.operator for c in system.controls])
     required = system.dim ** 2 - 1
     _write_result(out / "result.json", {
-        "mode": "controllability", "seed": seed,
+        "mode": "controllability", "seed": built["seed"],
         "lie_closure_dimension": int(dim),
         "required_for_full_control": int(required),
         "fully_controllable": bool(dim == required),
@@ -388,15 +390,11 @@ def _run_controllability(config, out, seed):
     return EXIT_OK
 
 
-def _run_majorize(config, out, seed):
-    initial = _build_state(config["initial"], None)
-    target = _build_state(config["target"], None)
-    y = sorted_spectrum(initial)
-    x = sorted_spectrum(target)
-    result = reach.majorises(x, y)
+def _run_majorize(built, out):
+    y, x = sorted_spectrum(built["initial"]), sorted_spectrum(built["target"])
     _write_result(out / "result.json", {
-        "mode": "majorize", "seed": seed,
-        "target_majorised_by_initial": bool(result),
+        "mode": "majorize", "seed": built["seed"],
+        "target_majorised_by_initial": bool(reach.majorises(x, y)),
         "initial_spectrum": [float(v) for v in y],
         "target_spectrum": [float(v) for v in x],
         "partial_sum_slack": [float(v) for v in np.cumsum(y) - np.cumsum(x)],
@@ -405,8 +403,8 @@ def _run_majorize(config, out, seed):
 
 
 _RUNNERS = {
-    "simulate": _run_simulate,
-    "optimize": _run_optimize,
+    "simulate": _run_transfer,
+    "optimize": _run_transfer,
     "hlp": _run_hlp,
     "protocol": _run_protocol,
     "controllability": _run_controllability,
@@ -433,7 +431,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     mode = None if args.command == "validate" else args.command
-    diags = validate(config, mode)
+    built, diags = load(config, mode, args.seed)
     if args.command == "validate":
         for d in diags:
             print(d)
@@ -443,13 +441,12 @@ def main(argv=None) -> int:
             print(f"config error: {d}", file=sys.stderr)
         return EXIT_CONFIG
 
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    out = args.out if args.out is not None else Path(config.get("out", "."))
+    out = args.out if args.out is not None else built["out"]
     out.mkdir(parents=True, exist_ok=True)
 
     try:
-        return _RUNNERS[args.command](config, out, seed)
-    except (ConfigurationError, KeyError) as exc:
+        return _RUNNERS[args.command](built, out)
+    except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ReachabilityError as exc:

@@ -110,12 +110,12 @@ def _check_fd_step(fd_step):
 
 
 def _check_sequence(problem, seq):
-    if seq.u.shape[1] != len(problem.system.controls):
-        raise ValueError(f"sequence has {seq.u.shape[1]} control columns, "
-                         f"system expects {len(problem.system.controls)}")
-    if seq.gamma.shape[1] != len(problem.system.noises):
-        raise ValueError(f"sequence has {seq.gamma.shape[1]} noise columns, "
-                         f"system expects {len(problem.system.noises)}")
+    if seq.u.shape[1:] != (len(problem.system.controls),):
+        raise ValueError(f"sequence has control shape {seq.u.shape[1:]}, "
+                         f"system expects {len(problem.system.controls)} columns")
+    if seq.gamma.shape[1:] != (len(problem.system.noises),):
+        raise ValueError(f"sequence has noise shape {seq.gamma.shape[1:]}, "
+                         f"system expects {len(problem.system.noises)} columns")
     bounds = problem.system.gamma_bounds
     if np.any(seq.gamma < 0) or np.any(seq.gamma > bounds[None, :]):
         raise ValueError("noise amplitudes outside [0, gamma_max]")
@@ -328,6 +328,8 @@ def optimize_restarts(problem: TransferProblem, restarts: int = 9, seed: int = 0
     restart reaches the tolerance.
     """
     _check_fd_step(fd_step)
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     best = None
     finals = []
     for r in range(restarts):

@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from noisectrl.cli import main, validate
+from noisectrl.cli import MODES, main, validate
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -250,3 +257,233 @@ class TestDiagnostics:
         diags = validate(cfg, "simulate")
         assert diags[0].startswith("system:")
         assert len(diags) == 2 and diags[1].startswith("target:")
+
+
+# ---------------------------------------------------------------------------
+# malformed configs: exit 2 with diagnostics under the faulty section
+
+def base_optimize_config():
+    return {
+        "mode": "optimize", "seed": 2,
+        "system": {"model": "ising_chain", "n": 1, "noise": "bitflip", "gamma_star": 5.0},
+        "initial": {"state": "zero"},
+        "target": {"state": "thermal"},
+        "horizon": {"T": 2.0, "slices": 4},
+        "optimizer": {"restarts": 1, "max_iters": 2},
+    }
+
+
+def base_hlp_config():
+    return {
+        "mode": "hlp",
+        "system": {"model": "ising_chain", "n": 2, "noise": "bitflip", "gamma_star": 5.0},
+        "initial": {"state": "spectrum", "values": [0.4, 0.3, 0.2, 0.1]},
+        "target": {"state": "thermal"},
+        "hlp": {"residual_target": 1e-3, "trotter_steps": 2},
+    }
+
+
+def base_protocol_config():
+    return {
+        "mode": "protocol",
+        "system": {"model": "ising_chain", "n": 3, "noise": "amp", "gamma_star": 5.0},
+        "protocol": {"kind": "init", "noise_time": 1.0},
+    }
+
+
+def base_majorize_config():
+    return {
+        "mode": "majorize",
+        "initial": {"state": "thermal", "n": 2},
+        "target": {"state": "spectrum", "values": [0.25, 0.25, 0.25, 0.25]},
+    }
+
+
+BASES = {"simulate": base_simulate_config, "optimize": base_optimize_config,
+         "hlp": base_hlp_config, "protocol": base_protocol_config,
+         "majorize": base_majorize_config}
+DELETE = object()
+
+# (mode, section, key or None for the whole section, value, message); the
+# section is the one every diagnostic must name, the message part of one
+MALFORMED = [
+    ("simulate", "horizon", "T", "abc", "T must be a finite number"),
+    ("simulate", "horizon", "slices", "x", "slices must be an integer"),
+    ("simulate", "horizon", "slices", 2.5, "slices must be an integer"),
+    ("simulate", "horizon", "T", "1e400", "T must be a finite number"),  # bare JSON number
+    ("optimize", "optimizer", "noise_blocks", 0, "noise_blocks must be at least 1"),
+    ("optimize", "optimizer", "restarts", 0, "restarts must be at least 1"),
+    ("optimize", "optimizer", "max_iters", "a", "max_iters must be an integer"),
+    ("optimize", "optimizer", None, [1], "must be an object"),
+    ("simulate", "sequence", None, [1], "must be an object"),
+    ("simulate", "sequence", None, {"u": [[0.0] * 4] * 3, "gamma": [[0.0]] * 4},
+     "number of slices"),
+    ("simulate", "sequence", None, {"u": [[0.0] * 4] * 4}, "gamma is required"),
+    ("simulate", "sequence", None, {"u": [[[0.0]] * 4] * 4, "gamma": [[0.0]] * 4},
+     "control shape (4, 1)"),
+    ("simulate", "sequence", None, {"u": [[0.0] * 4] * 4, "gamma": "x"},
+     "gamma must be an array"),
+    ("hlp", "hlp", "residual_target", "a", "residual_target must be a finite number"),
+    ("hlp", "hlp", "trotter_steps", "a", "trotter_steps must be an integer"),
+    ("hlp", "hlp", "execute", "no", "execute must be true or false"),
+    ("hlp", "hlp", None, [1], "must be an object"),
+    ("majorize", "target", None, {"state": "thermal", "n": 3},
+     "dimension 8 does not match initial dimension 4"),
+    ("majorize", "initial", None, {"state": "zero"}, "n is required"),
+    ("protocol", "protocol", "noise_time", "x", "noise_time must be a finite number"),
+    ("protocol", "protocol", "noise_time", DELETE, "noise_time is required"),
+    ("simulate", "initial", None, [1], "must be an object"),
+    ("simulate", "seed", None, "x", "must be a nonnegative integer"),
+    ("simulate", "out", None, 5, "must be a string"),
+    ("simulate", "system", "dephasing", "x", "dephasing must be a finite number"),
+]
+
+
+def malformed_config(mode, section, key, value):
+    cfg = BASES[mode]()
+    if section == "sequence":
+        cfg["horizon"]["slices"] = 4
+    target = cfg if key is None else cfg[section]
+    name = section if key is None else key
+    if value is DELETE:
+        del target[name]
+    else:
+        target[name] = value
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "mode,section,key,value,message", MALFORMED,
+    ids=[f"{mode}-{section}-{key or 'section'}-{i}" for i, (mode, section, key, *_)
+         in enumerate(MALFORMED)])
+def test_malformed_config_exits_2_naming_its_section(tmp_path, capsys, mode, section, key,
+                                                     value, message):
+    text = json.dumps(malformed_config(mode, section, key, value))
+    path = tmp_path / "config.json"
+    path.write_text(text.replace('"1e400"', "1e400"))
+    assert main([mode, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert all(line.startswith(f"config error: {section}:") for line in lines)
+    assert any(message in line for line in lines)
+
+
+class TestProtocolNoise:
+    def test_noise_off_the_last_qubit_is_config_error(self, tmp_path, capsys):
+        cfg = base_protocol_config()
+        cfg["system"]["noisy_site"] = 1
+        cfg["protocol"] = {"kind": "erase_amp"}
+        path = write_config(tmp_path, cfg)
+        assert main(["protocol", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("config error: protocol:")
+        assert "last qubit" in lines[0]
+
+    def test_matching_noise_on_the_last_qubit_is_accepted(self):
+        cfg = base_protocol_config()
+        cfg["system"]["noisy_site"] = 3
+        assert validate(cfg, "protocol") == []
+        cfg["protocol"] = {"kind": "erase_bitflip", "noise_time": 1.0}
+        assert validate(cfg, "protocol") == [
+            "protocol: 'erase_bitflip' needs bitflip noise on the last qubit, "
+            "system has 'amp3'"]
+
+
+# ---------------------------------------------------------------------------
+# property: one mutated key of a tiny valid config never escapes main
+
+TINY = {
+    "simulate": {
+        "mode": "simulate", "seed": 1, "out": "unused",
+        "system": {"model": "ising_chain", "n": 2, "coupling": 1.0, "noise": "amp",
+                   "noisy_site": 2, "gamma_star": 5.0, "dephasing": 0.1},
+        "initial": {"state": "zero"},
+        "target": {"state": "random", "seed": 3},
+        "horizon": {"T": 1.0, "slices": 4},
+        "sequence": {"style": "noise_blocks", "blocks": 2, "u_scale": 1.0},
+    },
+    "optimize": {
+        "mode": "optimize", "seed": 2,
+        "system": {"model": "ising_chain", "n": 1, "noise": "bitflip", "gamma_star": 5.0},
+        "initial": {"state": "zero"},
+        "target": {"state": "thermal"},
+        "horizon": {"T": 2.0, "slices": 3},
+        "optimizer": {"restarts": 1, "noise_blocks": 1, "u_scale": 0.5, "max_iters": 2,
+                      "tol": 1e-6, "fd_step": 1e-7},
+    },
+    "hlp": {
+        "mode": "hlp", "seed": 0,
+        "system": {"model": "ising_chain", "n": 2, "noise": "bitflip", "gamma_star": 5.0},
+        "initial": {"state": "spectrum", "values": [0.4, 0.3, 0.2, 0.1]},
+        "target": {"state": "thermal"},
+        "hlp": {"residual_target": 1e-3, "trotter_steps": 2, "execute": True},
+    },
+    "protocol": {
+        "mode": "protocol",
+        "system": {"model": "ising_chain", "n": 2, "coupling": 1.0, "noise": "amp",
+                   "gamma_star": 5.0},
+        "protocol": {"kind": "init", "noise_time": 1.0, "charge_swap_time": True},
+    },
+    "controllability": {
+        "mode": "controllability",
+        "system": {"model": "ising_chain", "n": 1, "noise": "amp", "gamma_star": 5.0},
+    },
+    "majorize": {
+        "mode": "majorize",
+        "initial": {"state": "thermal", "n": 2},
+        "target": {"state": "spectrum", "values": [0.25, 0.25, 0.25, 0.25]},
+    },
+}
+ALPHABET = [None, True, -1, 0, 0.5, 3, math.inf, "x", [], {}]
+MUTATIONS = [(mode, key, sub) for mode, cfg in TINY.items() for key in cfg
+             for sub in [None] + (list(cfg[key]) if isinstance(cfg[key], dict) else [])]
+
+
+def run_in(tmp, mode, path, name):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([mode, "--config", str(path), "--out", str(tmp / name)])
+    return rc, err.getvalue()
+
+
+def test_tiny_configs_are_valid():
+    for mode, cfg in TINY.items():
+        assert validate(cfg, mode) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutation=st.sampled_from(MUTATIONS), value=st.sampled_from(ALPHABET + [DELETE]))
+def test_mutated_config_exits_cleanly(mutation, value):
+    mode, key, sub = mutation
+    cfg = copy.deepcopy(TINY[mode])
+    target, name = (cfg, key) if sub is None else (cfg[key], sub)
+    if value is DELETE:
+        del target[name]
+    else:
+        target[name] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "config.json"
+        path.write_text(json.dumps(cfg))
+        rc, err = run_in(tmp, mode, path, "a")
+        assert rc in (0, 2, 3, 4)
+        if rc == 2:
+            assert all(line.startswith("config error: ") for line in err.strip().split("\n"))
+        if rc == 0:
+            assert run_in(tmp, mode, path, "b")[0] == 0
+            names = sorted(p.name for p in (tmp / "a").iterdir())
+            assert names == sorted(p.name for p in (tmp / "b").iterdir())
+            for f in names:
+                assert (tmp / "a" / f).read_bytes() == (tmp / "b" / f).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the README's config example stays valid for every mode
+
+def test_readme_example_validates_for_every_mode():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    cli_docs = readme[readme.index("## Command line"):]
+    block = cli_docs[cli_docs.index("```json") + len("```json"):]
+    example = json.loads(block[:block.index("```")])
+    # it carries every section, so it must serve every mode
+    for mode in MODES:
+        assert validate(dict(example, mode=mode), mode) == [], mode

@@ -231,6 +231,14 @@ def test_optimize_restarts_improves_and_stops_early():
     assert len(finals) <= 5
 
 
+def test_optimize_restarts_rejects_fewer_than_one_restart():
+    system = ising_chain(1, noise_kind="bitflip", gamma_star=5.0)
+    problem = TransferProblem(system, zero_state(1), thermal_state(1), 1.0, 4)
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            optimize_restarts(problem, restarts=restarts, max_iters=2)
+
+
 class TestFdStepValidation:
     def test_optimize_and_restarts_reject_nonpositive_step(self):
         system = ising_chain(1, noise_kind="bitflip", gamma_star=5.0)
