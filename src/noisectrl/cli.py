@@ -28,8 +28,8 @@ import numpy as np
 
 from . import models, optim, protocols, reach
 from .exceptions import ConfigurationError, NumericalHealthError, ReachabilityError
-from .qops import (SIGMA_MINUS, SIGMA_X, DensityOperator, as_matrix, embed_local,
-                   frobenius_error, random_density, sorted_spectrum, vec)
+from .qops import (SIGMA_MINUS, SIGMA_X, DensityOperator, as_matrix, frobenius_error,
+                   random_density, sorted_spectrum, vec)
 from .schedule import HoldSegment, Schedule, UnitarySegment, propagate_schedule
 
 MODES = ("simulate", "optimize", "hlp", "protocol", "controllability", "majorize")
@@ -113,6 +113,8 @@ def load(config, mode: str | None = None, seed: int | None = None):
     if mode and cfg_mode is not None and cfg_mode != mode:
         diags.append(f"mode: config says {cfg_mode!r} but subcommand is {mode!r}")
     mode = mode or cfg_mode
+    if mode is None:
+        diags.append("mode: missing, and no mode subcommand was given")
     seed = config.get("seed", 0) if seed is None else seed
     if not (_is(seed, int) and seed >= 0):
         diags.append("seed: must be a nonnegative integer")
@@ -214,10 +216,14 @@ def load(config, mode: str | None = None, seed: int | None = None):
     if mode == "hlp":
         with section("hlp"):
             sec = _section(config, "hlp", required=False)
-            built["hlp"] = dict(
-                residual_target=_get(sec, "residual_target", float, 1e-4, _POSITIVE),
-                trotter_steps=_get(sec, "trotter_steps", int, 64, _AT_LEAST_1),
-                execute=_get(sec, "execute", bool, True))
+            hl = dict(residual_target=_get(sec, "residual_target", float, 1e-4, _POSITIVE),
+                      trotter_steps=_get(sec, "trotter_steps", int, 64, _AT_LEAST_1),
+                      execute=_get(sec, "execute", bool, True))
+            # the executed schedule averages pairs by switching bit flip on the last qubit
+            if hl["execute"] and system is not None and reach._terminal_noise(system) is None:
+                raise ValueError("execute needs bitflip noise on the last qubit, "
+                                 f"system has {system.noises[0].label!r}")
+            built["hlp"] = hl
 
     if mode == "protocol" and system is not None:
         with section("protocol"):
@@ -227,7 +233,7 @@ def load(config, mode: str | None = None, seed: int | None = None):
                 raise ValueError(f"unknown kind {kind!r}")
             # the closed forms hold only for their own noise on the last qubit
             noise, local = _PROTOCOL_NOISE[kind]
-            if not np.allclose(system.noises[0].operator, embed_local(local, system.n, system.n)):
+            if reach._terminal_noise(system, local) is None:
                 raise ValueError(f"{kind!r} needs {noise} noise on the last qubit, "
                                  f"system has {system.noises[0].label!r}")
             noise_time = _get(sec, "noise_time", float,

@@ -118,10 +118,7 @@ def propagator(ell: np.ndarray, dt: float) -> np.ndarray:
     """Slice propagator X = exp(-dt L), valid for non-normal L."""
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    try:
-        return _expm.expm(-dt * np.asarray(ell, dtype=complex))
-    except ValueError as exc:
-        raise NumericalHealthError(str(exc)) from exc
+    return expm_stack(-dt * np.asarray(ell, dtype=complex))
 
 
 def expm_stack(ells: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ in a noise-immune subspace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,11 +56,18 @@ def t_transform(v, pair: tuple[int, int], lam: float) -> np.ndarray:
     if not 0.0 <= lam <= 1.0:
         raise ValueError("mixing parameter must lie in [0, 1]")
     v = np.array(v, dtype=float)
-    j, k = pair
-    vj, vk = v[j], v[k]
-    v[j] = lam * vj + (1.0 - lam) * vk
-    v[k] = (1.0 - lam) * vj + lam * vk
+    _contract_pair(v, *pair, 2.0 * lam - 1.0)
     return v
+
+
+def _contract_pair(v: np.ndarray, j: int, k: int, eps: float) -> None:
+    """Contract v[j], v[k] about their mean m by eps, in place: m +- eps d.
+
+    This is one averaging step of every kind here: a T-transform with
+    eps = 2 lambda - 1, an ideal bit-flip exposure, and a protected pair's
+    decoupling contraction."""
+    m, d = 0.5 * (v[j] + v[k]), 0.5 * (v[j] - v[k])
+    v[j], v[k] = m + eps * d, m - eps * d
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +213,6 @@ class HlpPlan:
         }
         return json.dumps(payload, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "HlpPlan":
-        data = json.loads(text)
-        steps = tuple(
-            HlpStep(pair=tuple(s["pair"]), lam=s["lambda"], tau=s["tau"],
-                    eps=s["eps"], pre_permutation=tuple(s["pre_permutation"]))
-            for s in data["steps"])
-        return cls(
-            initial_spectrum=np.array(data["initial_spectrum"]),
-            target_spectrum=np.array(data["target_spectrum"]),
-            gamma_star=data["gamma_star"],
-            residual_target=data["residual_target"],
-            steps=steps,
-            predicted_final_spectrum=np.array(data["predicted_final_spectrum"]),
-            predicted_residual=data["predicted_residual"],
-        )
-
 
 def _hlp_raw_steps(y_sorted: np.ndarray, x_sorted: np.ndarray, tol: float):
     """Adjacent-rule HLP decomposition with value-identity tracking.
@@ -248,9 +238,7 @@ def _hlp_raw_steps(y_sorted: np.ndarray, x_sorted: np.ndarray, tol: float):
         delta = min(w[j] - x_sorted[j], x_sorted[k] - w[k])
         lam = 1.0 - delta / (w[j] - w[k])
         out.append((ids[j], ids[k], float(lam)))
-        wj, wk = w[j], w[k]
-        w[j] = lam * wj + (1.0 - lam) * wk
-        w[k] = (1.0 - lam) * wj + lam * wk
+        _contract_pair(w, j, k, 2.0 * lam - 1.0)
         order = np.argsort(-w, kind="stable")
         w = w[order]
         ids = [ids[o] for o in order]
@@ -283,9 +271,7 @@ def _simulate_ideal(y_sorted, raw_steps, eps_list):
     """Value-identity simulation through the exact averaging blocks."""
     vals = y_sorted.copy()
     for (ja, ka, _lam), eps in zip(raw_steps, eps_list):
-        m = 0.5 * (vals[ja] + vals[ka])
-        d = 0.5 * (vals[ja] - vals[ka])
-        vals[ja], vals[ka] = m + eps * d, m - eps * d
+        _contract_pair(vals, ja, ka, eps)
     return vals
 
 
@@ -350,7 +336,6 @@ def hlp_plan(y, x, gamma_star: float, residual_target: float = 1e-4) -> HlpPlan:
 
     eps_all = np.where(is_half, eps_floor, eps_star)
     taus = -2.0 / gamma_star * np.log(eps_all)
-    final = _simulate_ideal(y_s, raw, eps_all)
 
     # spectator layouts, computed against the running value assignment
     steps = []
@@ -359,15 +344,13 @@ def hlp_plan(y, x, gamma_star: float, residual_target: float = 1e-4) -> HlpPlan:
         slots = _spectator_pairing(idx, raw, vals)
         steps.append(HlpStep(pair=(ja, ka), lam=lam, tau=float(tau),
                              eps=float(eps), pre_permutation=tuple(slots)))
-        m = 0.5 * (vals[ja] + vals[ka])
-        d = 0.5 * (vals[ja] - vals[ka])
-        vals[ja], vals[ka] = m + eps * d, m - eps * d
+        _contract_pair(vals, ja, ka, eps)
 
     return HlpPlan(
         initial_spectrum=y_s, target_spectrum=x_s, gamma_star=gamma_star,
         residual_target=residual_target, steps=tuple(steps),
-        predicted_final_spectrum=np.sort(final)[::-1].copy(),
-        predicted_residual=float(np.linalg.norm(np.sort(final) - np.sort(x_s))))
+        predicted_final_spectrum=np.sort(vals)[::-1].copy(),
+        predicted_residual=float(np.linalg.norm(np.sort(vals) - np.sort(x_s))))
 
 
 def plan_state_transfer(rho0, rho_target, gamma_star: float,
@@ -383,16 +366,8 @@ def plan_state_transfer(rho0, rho_target, gamma_star: float,
     wt, vt = np.linalg.eigh(mt)
     order0 = np.argsort(-w0)
     ordert = np.argsort(-wt)
-    base = hlp_plan(w0[order0], wt[ordert], gamma_star, residual_target)
-    return HlpPlan(
-        initial_spectrum=base.initial_spectrum,
-        target_spectrum=base.target_spectrum,
-        gamma_star=base.gamma_star, residual_target=base.residual_target,
-        steps=base.steps,
-        predicted_final_spectrum=base.predicted_final_spectrum,
-        predicted_residual=base.predicted_residual,
-        diagonalizer_initial=v0[:, order0],
-        diagonalizer_target=vt[:, ordert])
+    return replace(hlp_plan(w0[order0], wt[ordert], gamma_star, residual_target),
+                   diagonalizer_initial=v0[:, order0], diagonalizer_target=vt[:, ordert])
 
 
 # ---------------------------------------------------------------------------
@@ -412,20 +387,14 @@ def _protection_unitary(dim: int) -> np.ndarray:
     return out
 
 
-def _permutation_matrix(slots) -> np.ndarray:
-    dim = len(slots)
-    p = np.zeros((dim, dim), dtype=complex)
-    for slot, src in enumerate(slots):
-        p[slot, src] = 1.0
-    return p
-
-
-def _require_terminal_bitflip(system):
-    expected = embed_local(SIGMA_X / 2, system.n, system.n)
+def _terminal_noise(system, local=SIGMA_X / 2):
+    """Index of the switchable noise that is ``local`` (bit flip unless
+    given) on the last qubit, or None when the system has none."""
+    expected = embed_local(local, system.n, system.n)
     for idx, noise in enumerate(system.noises):
         if np.allclose(as_matrix(noise.operator), expected, atol=1e-12):
             return idx
-    raise ConfigurationError("system lacks switchable bit-flip noise on the terminal qubit")
+    return None
 
 
 def _require_diagonal_drift(system) -> np.ndarray:
@@ -435,58 +404,47 @@ def _require_diagonal_drift(system) -> np.ndarray:
     return np.real(np.diag(h0))
 
 
-def _pair_block_map(omega: float, gamma_star: float, tau: float, nseg: int) -> np.ndarray:
-    """Exact (Re c, Im c) map of one kicked decoupling train for a protected
-    pair with drift splitting omega."""
+def _pair_dynamics(energies, gamma_star: float, tau: float, nseg: int):
+    """Exact dynamics of every terminal-qubit pair under one kicked noise train.
+
+    A pair's coherence (Re c, Im c), with drift splitting omega, follows one
+    real 2x2 map M per kicked segment.  Returns, per pair, the closing echo
+    phase theta that cancels the train's deterministic rotation, and the
+    factor mu by which the pair difference then contracts."""
     h = tau / nseg
-    gen = np.array([[0.0, omega], [-omega, -gamma_star / 2.0]])
-    c, s = np.cos(omega * h / 2.0), np.sin(omega * h / 2.0)
-    half_kick = np.array([[c, -s], [s, c]])
-    seg = half_kick @ np.real(_expm.expm(h * gen)) @ half_kick
-    return np.linalg.matrix_power(seg, nseg)
+    omegas = energies[0::2] - energies[1::2]
+    thetas, mus = np.empty(len(omegas)), np.empty(len(omegas))
+    for i, omega in enumerate(omegas):
+        gen = np.array([[0.0, omega], [-omega, -gamma_star / 2.0]])
+        c, s = np.cos(omega * h / 2.0), np.sin(omega * h / 2.0)
+        half_kick = np.array([[c, -s], [s, c]])
+        m = np.linalg.matrix_power(half_kick @ np.real(_expm.expm(h * gen)) @ half_kick, nseg)
+        thetas[i] = np.arctan2(m[1, 0] - m[0, 1], m[0, 0] + m[1, 1])
+        mus[i] = np.cos(thetas[i]) * m[0, 0] + np.sin(thetas[i]) * m[1, 0]
+    return thetas, mus
 
 
 def _noise_block_segments(system, noise_idx, energies, tau, trotter_steps):
-    """Decoupled noise-on train plus its per-pair echo phase correction.
+    """Decoupled noise-on train closed by its per-pair echo phase correction.
 
     One Trotter cycle is two exponential segments; the drift sign inversion
     of the decoupling identity is realized by exact diagonal drift-echo
-    unitaries between segments (symmetric placement).  The leftover
-    deterministic rotation of each protected coherence is cancelled by a
-    closing diagonal unitary computed from the exact pair dynamics.
+    unitaries between segments (symmetric placement).  The closing diagonal
+    unitary cancels the leftover rotation of each protected coherence, as
+    computed by :func:`_pair_dynamics`.
     """
-    dim = system.dim
     nseg = 2 * trotter_steps
     h = tau / nseg
-    gamma_vec = np.zeros(len(system.noises))
-    gamma_vec[noise_idx] = system.noises[noise_idx].gamma_max
-    u_vec = np.zeros(len(system.controls))
-
-    kick_half = np.diag(np.exp(1j * (h / 2.0) * energies))
-    kick_full = np.diag(np.exp(1j * h * energies))
-    hold = HoldSegment(u=u_vec, gamma=gamma_vec, duration=h, label="noise-on")
-
-    segments = [UnitarySegment(kick_half, label="drift-echo")]
-    for i in range(nseg):
-        segments.append(hold)
-        if i < nseg - 1:
-            segments.append(UnitarySegment(kick_full, label="drift-echo"))
-    segments.append(UnitarySegment(kick_half, label="drift-echo"))
-
-    corr = np.ones(dim, dtype=complex)
-    mus = np.empty(dim // 2)
-    gamma_star = system.noises[noise_idx].gamma_max
-    for i in range(dim // 2):
-        omega = energies[2 * i] - energies[2 * i + 1]
-        m = _pair_block_map(omega, gamma_star, tau, nseg)
-        theta = np.arctan2(m[1, 0] - m[0, 1], m[0, 0] + m[1, 1])
-        rot = np.array([[np.cos(theta), np.sin(theta)],
-                        [-np.sin(theta), np.cos(theta)]])
-        mus[i] = (rot @ m)[0, 0]
-        corr[2 * i] = np.exp(-1j * theta / 2.0)
-        corr[2 * i + 1] = np.exp(+1j * theta / 2.0)
-    segments.append(UnitarySegment(np.diag(corr), label="echo-phase"))
-    return segments, mus
+    gamma = np.zeros(len(system.noises))
+    gamma[noise_idx] = system.noises[noise_idx].gamma_max
+    hold = HoldSegment(u=np.zeros(len(system.controls)), gamma=gamma, duration=h,
+                       label="noise-on")
+    kick_half = UnitarySegment(np.diag(np.exp(1j * (h / 2.0) * energies)), label="drift-echo")
+    kick_full = UnitarySegment(np.diag(np.exp(1j * h * energies)), label="drift-echo")
+    thetas, _ = _pair_dynamics(energies, gamma[noise_idx], tau, nseg)
+    echo = UnitarySegment(np.diag(np.exp(-0.5j * np.outer(thetas, [1.0, -1.0]).ravel())),
+                          label="echo-phase")
+    return [kick_half] + [hold, kick_full] * (nseg - 1) + [hold, kick_half, echo]
 
 
 def hlp_execute(plan: HlpPlan, system, trotter_steps: int = 64) -> Schedule:
@@ -500,7 +458,9 @@ def hlp_execute(plan: HlpPlan, system, trotter_steps: int = 64) -> Schedule:
     """
     if trotter_steps < 1:
         raise ValueError("need at least one Trotter cycle")
-    noise_idx = _require_terminal_bitflip(system)
+    noise_idx = _terminal_noise(system)
+    if noise_idx is None:
+        raise ConfigurationError("system lacks switchable bit-flip noise on the terminal qubit")
     energies = _require_diagonal_drift(system)
     dim = system.dim
     if len(plan.initial_spectrum) != dim:
@@ -513,12 +473,11 @@ def hlp_execute(plan: HlpPlan, system, trotter_steps: int = 64) -> Schedule:
         segments.append(UnitarySegment(plan.diagonalizer_initial.conj().T,
                                        label="diagonalize"))
     for step in plan.steps:
-        perm = _permutation_matrix(step.pre_permutation)
-        place = u12 @ perm
+        # row selection of the identity: slot i receives value pre_permutation[i]
+        place = u12 @ np.eye(dim, dtype=complex)[list(step.pre_permutation)]
         segments.append(UnitarySegment(place, label="place+protect"))
-        block, _ = _noise_block_segments(system, noise_idx, energies,
-                                         step.tau, trotter_steps)
-        segments.extend(block)
+        segments.extend(_noise_block_segments(system, noise_idx, energies,
+                                              step.tau, trotter_steps))
         segments.append(UnitarySegment(place.conj().T, label="unprotect"))
     if plan.diagonalizer_target is not None:
         segments.append(UnitarySegment(plan.diagonalizer_target, label="target-basis"))
@@ -529,18 +488,17 @@ def predict_executed_spectrum(plan: HlpPlan, system, trotter_steps: int = 64) ->
     """Spectrum the compiled schedule should produce, from the exact
     two-level pair dynamics (populations average exactly; protected pairs
     contract by the computable decoupling factor)."""
-    noise_idx = _require_terminal_bitflip(system)
+    noise_idx = _terminal_noise(system)
+    if noise_idx is None:
+        raise ConfigurationError("system lacks switchable bit-flip noise on the terminal qubit")
     energies = _require_diagonal_drift(system)
+    gamma_star = system.noises[noise_idx].gamma_max
     vals = plan.initial_spectrum.copy()
     for step in plan.steps:
-        _, mus = _noise_block_segments(system, noise_idx, energies,
-                                       step.tau, trotter_steps)
+        _, mus = _pair_dynamics(energies, gamma_star, step.tau, 2 * trotter_steps)
         slots = step.pre_permutation
-        factors = np.concatenate([[step.eps], mus[1:]])
-        for i, f in enumerate(factors):
-            a, b = vals[slots[2 * i]], vals[slots[2 * i + 1]]
-            m, d = 0.5 * (a + b), 0.5 * (a - b)
-            vals[slots[2 * i]], vals[slots[2 * i + 1]] = m + f * d, m - f * d
+        for i, f in enumerate([step.eps, *mus[1:]]):
+            _contract_pair(vals, slots[2 * i], slots[2 * i + 1], f)
     return np.sort(vals)[::-1]
 
 

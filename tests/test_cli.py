@@ -73,6 +73,11 @@ class TestValidate:
         bad = write_config(tmp_path, bad_cfg, "bad.json")
         assert main(["validate", "--config", str(bad)]) == 2
 
+    def test_config_without_mode_is_flagged(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"system": {"model": "nope"}})
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().out.startswith("mode: ")
+
 
 class TestSimulate:
     def test_idle_sequence_keeps_spectrum(self, tmp_path):
@@ -143,6 +148,15 @@ class TestHlp:
         })
         assert main(["hlp", "--config", str(cfg), "--out",
                      str(tmp_path / "x")]) == 4
+
+    def test_plan_only_needs_no_bitflip_noise(self, tmp_path):
+        cfg = base_hlp_config()
+        cfg["system"]["noise"] = "amp"
+        cfg["hlp"]["execute"] = False
+        assert validate(cfg, "hlp") == []
+        path = write_config(tmp_path, cfg)
+        assert main(["hlp", "--config", str(path), "--out", str(tmp_path / "x")]) == 0
+        assert "executed_spectrum" not in json.loads((tmp_path / "x" / "result.json").read_text())
 
 
 class TestProtocol:
@@ -305,7 +319,8 @@ BASES = {"simulate": base_simulate_config, "optimize": base_optimize_config,
 DELETE = object()
 
 # (mode, section, key or None for the whole section, value, message); the
-# section is the one every diagnostic must name, the message part of one
+# section is the one every diagnostic must name, the message part of one; a
+# key "other.key" edits another section whose fault this section reports
 MALFORMED = [
     ("simulate", "horizon", "T", "abc", "T must be a finite number"),
     ("simulate", "horizon", "slices", "x", "slices must be an integer"),
@@ -336,6 +351,8 @@ MALFORMED = [
     ("simulate", "seed", None, "x", "must be a nonnegative integer"),
     ("simulate", "out", None, 5, "must be a string"),
     ("simulate", "system", "dephasing", "x", "dephasing must be a finite number"),
+    ("hlp", "hlp", "system.noise", "amp",
+     "execute needs bitflip noise on the last qubit, system has 'amp2'"),
 ]
 
 
@@ -343,6 +360,8 @@ def malformed_config(mode, section, key, value):
     cfg = BASES[mode]()
     if section == "sequence":
         cfg["horizon"]["slices"] = 4
+    if key is not None and "." in key:
+        section, key = key.split(".")
     target = cfg if key is None else cfg[section]
     name = section if key is None else key
     if value is DELETE:
@@ -365,6 +384,7 @@ def test_malformed_config_exits_2_naming_its_section(tmp_path, capsys, mode, sec
     lines = capsys.readouterr().err.strip().split("\n")
     assert all(line.startswith(f"config error: {section}:") for line in lines)
     assert any(message in line for line in lines)
+    assert not (tmp_path / "x").exists()
 
 
 class TestProtocolNoise:

@@ -5,7 +5,7 @@ from noisectrl.exceptions import ConfigurationError, ReachabilityError
 from noisectrl.lindblad import ThetaChannelParams, diag_channel_theta
 from noisectrl.models import ising_chain, thermal_state
 from noisectrl.qops import DensityOperator, frobenius_error, random_density, sorted_spectrum, vec
-from noisectrl.reach import (HlpPlan, beta_of_theta, fixed_point_theta,
+from noisectrl.reach import (beta_of_theta, fixed_point_theta,
                              hlp_execute, hlp_plan, lie_closure_dimension,
                              majorises, plan_state_transfer,
                              predict_executed_spectrum, switch_time_amp,
@@ -228,15 +228,6 @@ class TestHlpPlan:
         plan = hlp_plan([0.6, 0.4], [0.6, 0.4], gamma_star=1.0)
         assert plan.steps == ()
         assert plan.predicted_residual < 1e-12
-
-    def test_json_round_trip(self):
-        y = np.arange(4, 0, -1) / 10.0
-        plan = hlp_plan(y, np.full(4, 1 / 4), gamma_star=5.0)
-        other = HlpPlan.from_json(plan.to_json())
-        assert other.to_json() == plan.to_json()
-        assert len(other.steps) == len(plan.steps)
-        np.testing.assert_allclose(other.predicted_final_spectrum,
-                                   plan.predicted_final_spectrum)
 
 
 class TestHlpExecute:
