@@ -408,9 +408,11 @@ def _pair_dynamics(energies, gamma_star: float, tau: float, nseg: int):
     """Exact dynamics of every terminal-qubit pair under one kicked noise train.
 
     A pair's coherence (Re c, Im c), with drift splitting omega, follows one
-    real 2x2 map M per kicked segment.  Returns, per pair, the closing echo
-    phase theta that cancels the train's deterministic rotation, and the
-    factor mu by which the pair difference then contracts."""
+    real 2x2 map M per kicked segment.  A protected pair enters with a real
+    coherence, its half difference d, and leaves with d M[:, 0].  Returns,
+    per pair, the closing echo phase theta that turns M[:, 0] back onto the
+    real axis, so that the pair leaves diagonal after unprotection, and the
+    factor mu = |M[:, 0]| by which its difference has then contracted."""
     h = tau / nseg
     omegas = energies[0::2] - energies[1::2]
     thetas, mus = np.empty(len(omegas)), np.empty(len(omegas))
@@ -419,8 +421,8 @@ def _pair_dynamics(energies, gamma_star: float, tau: float, nseg: int):
         c, s = np.cos(omega * h / 2.0), np.sin(omega * h / 2.0)
         half_kick = np.array([[c, -s], [s, c]])
         m = np.linalg.matrix_power(half_kick @ np.real(_expm.expm(h * gen)) @ half_kick, nseg)
-        thetas[i] = np.arctan2(m[1, 0] - m[0, 1], m[0, 0] + m[1, 1])
-        mus[i] = np.cos(thetas[i]) * m[0, 0] + np.sin(thetas[i]) * m[1, 0]
+        thetas[i] = np.arctan2(m[1, 0], m[0, 0])
+        mus[i] = np.hypot(m[0, 0], m[1, 0])
     return thetas, mus
 
 

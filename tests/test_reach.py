@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisectrl.exceptions import ConfigurationError, ReachabilityError
 from noisectrl.lindblad import ThetaChannelParams, diag_channel_theta
@@ -289,6 +290,43 @@ class TestHlpExecute:
         amp_system = ising_chain(1, noise_kind="amp", gamma_star=5.0)
         with pytest.raises(ConfigurationError):
             hlp_execute(plan, amp_system)
+
+
+PAIRS4 = [(j, k) for j in range(4) for k in range(j + 1, 4)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(weights=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+       mixes=st.lists(st.tuples(st.sampled_from(PAIRS4), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=3),
+       basis_seed=st.none() | st.integers(0, 2 ** 16))
+def test_executed_hlp_chain_matches_its_prediction(weights, mixes, basis_seed):
+    """Plan, compile and propagate a random majorised two-qubit transfer: the
+    schedule has 4k+4 segments per step (plus two basis changes for a
+    density-operator plan) and lands on the predicted spectrum."""
+    y = np.array(weights) / sum(weights)
+    x = y
+    for pair, lam in mixes:
+        x = t_transform(x, pair, lam)
+    trotter = 2
+    if basis_seed is None:
+        plan = hlp_plan(y, x, gamma_star=5.0, residual_target=1e-3)
+        rho0 = DensityOperator(np.diag(plan.initial_spectrum).astype(complex))
+        basis_changes = 0
+    else:
+        rng = np.random.default_rng(basis_seed)
+        u, v = (np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+                for _ in range(2))
+        rho0 = DensityOperator(u @ np.diag(y) @ u.conj().T)
+        target = DensityOperator(v @ np.diag(x) @ v.conj().T)
+        plan = plan_state_transfer(rho0, target, gamma_star=5.0, residual_target=1e-3)
+        basis_changes = 2
+    system = ising_chain(2, noise_kind="bitflip", gamma_star=5.0)
+    schedule = hlp_execute(plan, system, trotter_steps=trotter)
+    assert len(schedule) == len(plan.steps) * (4 * trotter + 4) + basis_changes
+    out = propagate_schedule(system, schedule, rho0)
+    predicted = predict_executed_spectrum(plan, system, trotter_steps=trotter)
+    assert np.abs(sorted_spectrum(out) - predicted).max() < 1e-9
 
 
 class TestLieClosure:
