@@ -397,11 +397,17 @@ def _terminal_noise(system, local=SIGMA_X / 2):
     return None
 
 
-def _require_diagonal_drift(system) -> np.ndarray:
+def _schedulable(system, trotter_steps: int):
+    """Checked inputs of a compiled schedule: terminal bit-flip noise index, drift energies."""
+    if trotter_steps < 1:
+        raise ValueError("need at least one Trotter cycle")
+    noise_idx = _terminal_noise(system)
+    if noise_idx is None:
+        raise ConfigurationError("system lacks switchable bit-flip noise on the terminal qubit")
     h0 = as_matrix(system.h0)
     if np.abs(h0 - np.diag(np.diag(h0))).max() > 1e-12:
         raise ConfigurationError("scheduler requires a diagonal drift Hamiltonian")
-    return np.real(np.diag(h0))
+    return noise_idx, np.real(np.diag(h0))
 
 
 def _pair_dynamics(energies, gamma_star: float, tau: float, nseg: int):
@@ -458,12 +464,7 @@ def hlp_execute(plan: HlpPlan, system, trotter_steps: int = 64) -> Schedule:
     Propagating the schedule reproduces the plan's predicted spectrum up
     to the residual allocation plus the finite-k decoupling error.
     """
-    if trotter_steps < 1:
-        raise ValueError("need at least one Trotter cycle")
-    noise_idx = _terminal_noise(system)
-    if noise_idx is None:
-        raise ConfigurationError("system lacks switchable bit-flip noise on the terminal qubit")
-    energies = _require_diagonal_drift(system)
+    noise_idx, energies = _schedulable(system, trotter_steps)
     dim = system.dim
     if len(plan.initial_spectrum) != dim:
         raise ConfigurationError(
@@ -490,10 +491,7 @@ def predict_executed_spectrum(plan: HlpPlan, system, trotter_steps: int = 64) ->
     """Spectrum the compiled schedule should produce, from the exact
     two-level pair dynamics (populations average exactly; protected pairs
     contract by the computable decoupling factor)."""
-    noise_idx = _terminal_noise(system)
-    if noise_idx is None:
-        raise ConfigurationError("system lacks switchable bit-flip noise on the terminal qubit")
-    energies = _require_diagonal_drift(system)
+    noise_idx, energies = _schedulable(system, trotter_steps)
     gamma_star = system.noises[noise_idx].gamma_max
     vals = plan.initial_spectrum.copy()
     for step in plan.steps:
@@ -510,10 +508,17 @@ def predict_executed_spectrum(plan: HlpPlan, system, trotter_steps: int = 64) ->
 def lie_closure_dimension(generators, tol: float = 1e-10) -> int:
     """Dimension of the real Lie algebra generated by {i H} under commutators.
 
-    Generators are projected to their traceless part; candidates are
-    orthonormalized against the running basis in the Hilbert-Schmidt inner
-    product (two Gram-Schmidt passes, threshold ``tol``).  Full unitary
-    controllability on n qubits corresponds to the value N^2 - 1.
+    The traceless parts of the generators are orthonormalized first, then
+    each basis element b_i in turn is offered its brackets [g, b_i] with
+    every orthonormalized generator g (two Gram-Schmidt passes in the
+    Hilbert-Schmidt inner product, threshold ``tol``).  Left-normed brackets
+    [g_1, [g_2, [..., g_k]]] span the generated algebra (D'Alessandro,
+    *Introduction to Quantum Control and Dynamics*, ch. 3); the final span
+    holds the generators and is closed under every ad_g, so by induction on
+    k it holds them all, and brackets of two basis elements are never
+    needed.  Candidates are traceless and anti-Hermitian, so the loop stops
+    at su(N), dimension N^2 - 1: full unitary controllability.  The cost is
+    (generators x dimension) brackets, one stacked product per element.
     """
     mats = [as_matrix(g) for g in generators]
     if not mats:
@@ -522,35 +527,30 @@ def lie_closure_dimension(generators, tol: float = 1e-10) -> int:
     for m in mats:
         if m.shape != (dim, dim):
             raise ValueError("generators must share one dimension")
+        if not np.isfinite(m).all():
+            raise ValueError("generators must be finite")
         if np.abs(m - m.conj().T).max() > 1e-10:
             raise ValueError("generators must be Hermitian")
 
-    max_dim = dim * dim
-    basis_flat = np.empty((max_dim, dim * dim), dtype=complex)
-    basis_mats: list[np.ndarray] = []
+    basis = np.empty((dim * dim, dim, dim), dtype=complex)
+    flat = basis.reshape(dim * dim, -1)
+    size = 0
 
     def try_add(candidate: np.ndarray) -> None:
+        nonlocal size
         v = candidate.reshape(-1)
-        m = len(basis_mats)
         for _ in range(2):
-            if m:
-                coeff = basis_flat[:m].conj() @ v
-                v = v - basis_flat[:m].T @ coeff
+            v = v - flat[:size].T @ (flat[:size].conj() @ v)
         nrm = np.linalg.norm(v)
         if nrm > tol:
-            v = v / nrm
-            basis_flat[m] = v
-            basis_mats.append(v.reshape(dim, dim))
+            flat[size] = v / nrm
+            size += 1
 
     for m in mats:
-        traceless = m - (np.trace(m) / dim) * np.eye(dim)
-        try_add(1j * traceless)
-
-    i = 0
-    while i < len(basis_mats):
-        a = basis_mats[i]
-        for j in range(i):
-            b = basis_mats[j]
-            try_add(a @ b - b @ a)
+        try_add(1j * (m - (np.trace(m) / dim) * np.eye(dim)))
+    gens, i = basis[:size], 0
+    while i < size < dim * dim - 1:
+        for candidate in gens @ basis[i] - basis[i] @ gens:
+            try_add(candidate)
         i += 1
-    return len(basis_mats)
+    return size

@@ -13,7 +13,7 @@ from noisectrl.reach import (beta_of_theta, fixed_point_theta,
                              switch_time_theta, t_transform,
                              theta_pair_admissible)
 from noisectrl.schedule import UnitarySegment, propagate_schedule
-from noisectrl.qops import SIGMA_X, SIGMA_Y, SIGMA_Z, embed_local
+from noisectrl.qops import SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, embed_local
 
 
 def random_prob_vector(n, rng):
@@ -291,6 +291,14 @@ class TestHlpExecute:
         with pytest.raises(ConfigurationError):
             hlp_execute(plan, amp_system)
 
+    @pytest.mark.parametrize("trotter", [0, -1])
+    def test_rejects_nonpositive_trotter_count(self, trotter):
+        plan = hlp_plan([0.4, 0.3, 0.2, 0.1], np.full(4, 0.25), gamma_star=5.0)
+        system = ising_chain(2, noise_kind="bitflip", gamma_star=5.0)
+        for compile_or_predict in (hlp_execute, predict_executed_spectrum):
+            with pytest.raises(ValueError, match="at least one Trotter cycle"):
+                compile_or_predict(plan, system, trotter_steps=trotter)
+
 
 PAIRS4 = [(j, k) for j in range(4) for k in range(j + 1, 4)]
 
@@ -360,3 +368,111 @@ class TestLieClosure:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             lie_closure_dimension([np.array([[0.0, 1.0], [0.0, 0.0]])])
+
+    @pytest.mark.parametrize("bad", [np.full((2, 2), np.nan),
+                                     np.diag([np.inf, 1.0]),
+                                     np.array([[0.0, np.inf], [np.inf, 0.0]])])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            lie_closure_dimension([SIGMA_X, bad])
+
+    def test_proper_subalgebra_of_su4(self):
+        # so(4): ZZ with x-only local terms never reaches the y-rotations
+        gens = [pauli_string("ZZ"), pauli_string("XI"), pauli_string("IX")]
+        assert lie_closure_dimension(gens) == _all_pairs_closure(gens) == 6
+
+    def test_x_only_three_qubit_chain_is_not_controllable(self):
+        drift = pauli_string("ZZI") + pauli_string("IZZ")
+        gens = [drift, pauli_string("XII"), pauli_string("IXI"), pauli_string("IIX")]
+        assert lie_closure_dimension(gens) == _all_pairs_closure(gens) == 15
+
+
+PAULIS = {"I": np.eye(2, dtype=complex), "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+
+
+def pauli_string(label: str) -> np.ndarray:
+    out = np.ones((1, 1), dtype=complex)
+    for p in label:
+        out = np.kron(out, PAULIS[p])
+    return out
+
+
+def _all_pairs_closure(generators, tol: float = 1e-10) -> int:
+    """Reference closure: brackets of every pair of basis elements.
+
+    Dimension of the real Lie algebra generated by {i H} under commutators.
+
+    Generators are projected to their traceless part; candidates are
+    orthonormalized against the running basis in the Hilbert-Schmidt inner
+    product (two Gram-Schmidt passes, threshold ``tol``).  Full unitary
+    controllability on n qubits corresponds to the value N^2 - 1.
+    """
+    mats = [as_matrix(g) for g in generators]
+    if not mats:
+        raise ValueError("need at least one generator")
+    dim = mats[0].shape[0]
+    for m in mats:
+        if m.shape != (dim, dim):
+            raise ValueError("generators must share one dimension")
+        if np.abs(m - m.conj().T).max() > 1e-10:
+            raise ValueError("generators must be Hermitian")
+
+    max_dim = dim * dim
+    basis_flat = np.empty((max_dim, dim * dim), dtype=complex)
+    basis_mats: list[np.ndarray] = []
+
+    def try_add(candidate: np.ndarray) -> None:
+        v = candidate.reshape(-1)
+        m = len(basis_mats)
+        for _ in range(2):
+            if m:
+                coeff = basis_flat[:m].conj() @ v
+                v = v - basis_flat[:m].T @ coeff
+        nrm = np.linalg.norm(v)
+        if nrm > tol:
+            v = v / nrm
+            basis_flat[m] = v
+            basis_mats.append(v.reshape(dim, dim))
+
+    for m in mats:
+        traceless = m - (np.trace(m) / dim) * np.eye(dim)
+        try_add(1j * traceless)
+
+    i = 0
+    while i < len(basis_mats):
+        a = basis_mats[i]
+        for j in range(i):
+            b = basis_mats[j]
+            try_add(a @ b - b @ a)
+        i += 1
+    return len(basis_mats)
+
+
+@st.composite
+def pauli_generator_sets(draw):
+    n = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n)
+                           .filter(lambda lab: set(lab) != {"I"}),
+                           min_size=1, max_size=4, unique=True))
+    return [pauli_string(lab) for lab in labels]
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=pauli_generator_sets(), seed=st.integers(0, 2**32 - 1))
+def test_closure_matches_all_pairs_reference(gens, seed):
+    """Pauli subsets give many proper subalgebras; the generator-bracket
+    closure must find the same dimension as the all-pairs reference on each,
+    on an invertible real recombination of it, and on a unitary conjugation."""
+    rng = np.random.default_rng(seed)
+    k, dim = len(gens), gens[0].shape[0]
+    a = rng.standard_normal((k, k))
+    while abs(np.linalg.det(a)) < 0.1:
+        a = rng.standard_normal((k, k))
+    u = np.linalg.qr(rng.standard_normal((dim, dim))
+                     + 1j * rng.standard_normal((dim, dim)))[0]
+    expected = _all_pairs_closure(gens)
+    for variant in (gens,
+                    [sum(a[i, j] * gens[j] for j in range(k)) for i in range(k)],
+                    [u @ g @ u.conj().T for g in gens]):
+        assert _all_pairs_closure(variant) == expected
+        assert lie_closure_dimension(variant) == expected
