@@ -210,8 +210,7 @@ def load(config, mode: str | None = None, seed: int | None = None):
                 noise_blocks=_get(sec, "noise_blocks", int, None, _AT_LEAST_1),
                 u_scale=_get(sec, "u_scale", float, 1.0, _NONNEGATIVE),
                 max_iters=_get(sec, "max_iters", int, 500, _AT_LEAST_1),
-                tol=_get(sec, "tol", float, 1e-6, _NONNEGATIVE),
-                fd_step=_get(sec, "fd_step", float, None, _POSITIVE))
+                tol=_get(sec, "tol", float, 1e-6, _NONNEGATIVE))
 
     if mode == "hlp":
         with section("hlp"):

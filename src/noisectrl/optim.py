@@ -5,10 +5,14 @@ target vectorized states,
 
     delta_F^2 = || X_M ... X_1 vec(rho_0) - vec(rho_target) ||^2,
 
-with slice propagators X_k = exp(-dt L_k).  Since the L_k are non-normal,
-propagator derivatives are taken by one-sided finite differences of the
-exponential in the perturbed generator, chained through cached forward
-states and backward row vectors.  Box constraints (noise amplitudes in
+with slice propagators X_k = exp(A_k), A_k = -dt L_k.  The gradient is
+exact: with forward states f_k and backward vectors b_k, the derivative of
+delta_F^2 along a generator direction D of slice k is 2 Re <Q_k, -dt D>,
+where Q_k = L(A_k^H, b_k f_k^H) is the Frechet derivative of the
+exponential.  Van Loan's identity gives Q_k as the upper-right block of
+exp([[A_k^H, b_k f_k^H], [0, A_k^H]]), so one Pade stack of M doubled
+matrices serves every direction; the L_k are non-normal, so no
+eigendecomposition is used.  Box constraints (noise amplitudes in
 [0, gamma_max], coherent amplitudes free) are handled by a projected
 limited-memory quasi-Newton iteration (scipy's L-BFGS-B).
 """
@@ -104,11 +108,6 @@ def _directions(system):
                            dissipator_superop(_operators(system.noises, system.dim))])
 
 
-def _check_fd_step(fd_step):
-    if fd_step is not None and not fd_step > 0:
-        raise ValueError("fd_step must be positive")
-
-
 def _check_sequence(problem, seq):
     if seq.u.shape[1:] != (len(problem.system.controls),):
         raise ValueError(f"sequence has control shape {seq.u.shape[1:]}, "
@@ -165,46 +164,34 @@ def error(problem: TransferProblem, seq: ControlSequence) -> float:
     return float(np.linalg.norm(f[-1] - vec(as_matrix(problem.target))))
 
 
-def _error_and_gradient(problem, u, gamma, directions, fd_step):
-    """delta_F^2 and its gradient, columns ordered controls then noises."""
+def _error_and_gradient(problem, u, gamma, directions):
+    """delta_F^2 and its exact gradient, columns ordered controls then noises."""
     ell, x, f = _forward(problem, u, gamma)
-    dt = problem.dt
-    m = u.shape[0]
-    dim2 = x.shape[-1]
+    m, dim2 = x.shape[:2]
     r = f[m] - vec(as_matrix(problem.target))
-    e2 = float(np.vdot(r, r).real)
-
     b = np.empty((m, dim2), dtype=complex)
     b[m - 1] = r
     for k in range(m - 1, 0, -1):
         b[k - 1] = x[k].conj().T @ b[k]
 
-    amps = np.concatenate([u, gamma], axis=1)
-    if fd_step is None:
-        s = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(amps))
-    else:
-        s = np.full_like(amps, float(fd_step))
-    pert = ell[:, None, :, :] + s[:, :, None, None] * directions[None, :, :, :]
-    xp = _expm_stack((-dt * pert).reshape(-1, dim2, dim2)).reshape(
-        m, amps.shape[1], dim2, dim2)
-    dx = (xp - x[:, None, :, :]) / s[:, :, None, None]
-    w = np.einsum("kcab,kb->kca", dx, f[:m])
-    grad = 2.0 * np.real(np.einsum("ka,kca->kc", b.conj(), w))
-    return e2, grad
+    # Van Loan block: its upper-right corner is Q_k = L(A_k^H, b_k f_k^H)
+    ah = -problem.dt * ell.conj().transpose(0, 2, 1)
+    e = b[:, :, None] * f[:m, None, :].conj()
+    q = _expm_stack(np.block([[ah, e], [np.zeros_like(ah), ah]]))[:, :dim2, dim2:]
+    grad = -2.0 * problem.dt * np.einsum("kab,cab->kc", q.conj(), directions).real
+    return float(np.vdot(r, r).real), grad
 
 
-def gradient(problem: TransferProblem, seq: ControlSequence,
-             fd_step: float | None = None) -> np.ndarray:
-    """Finite-difference gradient of delta_F^2, shape (M, m + l).
+def gradient(problem: TransferProblem, seq: ControlSequence) -> np.ndarray:
+    """Exact gradient of delta_F^2, shape (M, m + l).
 
     Columns are ordered as the system's controls followed by its noise
-    channels.  The default step is sqrt(machine eps) scaled by
-    (1 + |amplitude|) per element; pass ``fd_step`` to override.
+    channels.  Each slice's propagator derivative is the Frechet derivative
+    of the exponential, read off the upper-right block of one doubled Pade
+    exponential (Van Loan), so there is no step size.
     """
     _check_sequence(problem, seq)
-    _check_fd_step(fd_step)
-    _, grad = _error_and_gradient(problem, seq.u, seq.gamma, _directions(problem.system),
-                                  fd_step)
+    _, grad = _error_and_gradient(problem, seq.u, seq.gamma, _directions(problem.system))
     return grad
 
 
@@ -223,17 +210,20 @@ class _ToleranceReached(Exception):
 
 
 def optimize(problem: TransferProblem, init: ControlSequence,
-             max_iters: int = 500, tol: float = 1e-6,
-             fd_step: float | None = None) -> OptimizationResult:
+             max_iters: int = 500, tol: float = 1e-6) -> OptimizationResult:
     """Minimize delta_F over bounded amplitudes from a given start.
 
-    Stops when delta_F <= tol, on stall, or after ``max_iters`` iterations;
-    the returned history holds delta_F per objective evaluation, the
-    reported ``iterations`` counts completed L-BFGS iterations, and the
-    reported sequence is the best one seen.
+    Stops when delta_F <= tol, on stall, or after ``max_iters`` iterations.
+    When L-BFGS-B stops short of ``tol`` with iterations left (for instance
+    on its relative-reduction test), it is restarted from the best point
+    with fresh memory, within the same ``max_iters`` budget; a restart that
+    completes no iteration or does not lower the best error is a stall and
+    ends the run.  The returned history holds delta_F per objective
+    evaluation, the reported ``iterations`` counts completed L-BFGS
+    iterations over all restarts, and the reported sequence is the best one
+    seen.
     """
     _check_sequence(problem, init)
-    _check_fd_step(fd_step)
     m = init.slice_count
     n_c = init.u.shape[1]
     n_g = init.gamma.shape[1]
@@ -242,8 +232,7 @@ def optimize(problem: TransferProblem, init: ControlSequence,
     for g_max in problem.system.gamma_bounds:
         bounds.extend([(0.0, g_max)] * m)
     # parameter layout: all u (slice-major), then all gamma (noise-major)
-    x0 = np.concatenate([init.u.ravel(),
-                         init.gamma.T.ravel()])
+    x0 = np.concatenate([init.u.ravel(), init.gamma.T.ravel()])
 
     history: list[float] = []
     best = {"err": np.inf, "x": x0}
@@ -256,7 +245,7 @@ def optimize(problem: TransferProblem, init: ControlSequence,
     def objective(xflat):
         u = xflat[:m * n_c].reshape(m, n_c)
         gamma = xflat[m * n_c:].reshape(n_g, m).T
-        e2, grad = _error_and_gradient(problem, u, gamma, directions, fd_step)
+        e2, grad = _error_and_gradient(problem, u, gamma, directions)
         if not np.isfinite(e2):
             raise NumericalHealthError("objective became non-finite")
         err = float(np.sqrt(e2))
@@ -271,16 +260,20 @@ def optimize(problem: TransferProblem, init: ControlSequence,
 
     converged = False
     try:
-        res = scipy.optimize.minimize(
-            objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-            callback=count_iteration,
-            options=dict(maxiter=max_iters, ftol=0.0, gtol=1e-16, maxcor=20))
-        message = str(res.message)
+        while True:
+            before, err_before = iterations, best["err"]
+            res = scipy.optimize.minimize(
+                objective, best["x"], jac=True, method="L-BFGS-B", bounds=bounds,
+                callback=count_iteration,
+                options=dict(maxiter=max_iters - iterations, ftol=0.0, gtol=1e-16,
+                             maxcor=20))
+            message = str(res.message)
+            stalled = iterations == before or best["err"] >= err_before
+            if stalled or iterations >= max_iters:
+                break
     except _ToleranceReached:
         converged = True
         message = "tolerance reached"
-    if best["err"] <= tol:
-        converged = True
 
     xb = best["x"]
     seq = ControlSequence(dt=init.dt,
@@ -320,14 +313,12 @@ def random_sequence(problem: TransferProblem, seed: int,
 
 def optimize_restarts(problem: TransferProblem, restarts: int = 9, seed: int = 0,
                       noise_blocks: int | None = None, u_scale: float = 1.0,
-                      max_iters: int = 500, tol: float = 1e-6,
-                      fd_step: float | None = None):
+                      max_iters: int = 500, tol: float = 1e-6):
     """Best-of-R multistart wrapper around :func:`optimize`.
 
     Returns ``(best_result, all_final_errors)``; stops early once a
     restart reaches the tolerance.
     """
-    _check_fd_step(fd_step)
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     best = None
@@ -335,8 +326,7 @@ def optimize_restarts(problem: TransferProblem, restarts: int = 9, seed: int = 0
     for r in range(restarts):
         init = random_sequence(problem, seed + 1000 * r, noise_blocks=noise_blocks,
                                u_scale=u_scale)
-        result = optimize(problem, init, max_iters=max_iters, tol=tol,
-                          fd_step=fd_step)
+        result = optimize(problem, init, max_iters=max_iters, tol=tol)
         finals.append(result.final_error)
         if best is None or result.final_error < best.final_error:
             best = result

@@ -11,6 +11,7 @@ in a noise-immune subspace.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -399,6 +400,8 @@ def _terminal_noise(system, local=SIGMA_X / 2):
 
 def _schedulable(system, trotter_steps: int):
     """Checked inputs of a compiled schedule: terminal bit-flip noise index, drift energies."""
+    if not isinstance(trotter_steps, numbers.Integral):
+        raise ValueError(f"Trotter count must be an integer, got {trotter_steps!r}")
     if trotter_steps < 1:
         raise ValueError("need at least one Trotter cycle")
     noise_idx = _terminal_noise(system)
@@ -511,7 +514,10 @@ def lie_closure_dimension(generators, tol: float = 1e-10) -> int:
     The traceless parts of the generators are orthonormalized first, then
     each basis element b_i in turn is offered its brackets [g, b_i] with
     every orthonormalized generator g (two Gram-Schmidt passes in the
-    Hilbert-Schmidt inner product, threshold ``tol``).  Left-normed brackets
+    Hilbert-Schmidt inner product, threshold ``tol``).  The generators are
+    first divided by the largest entry among them, so the dimension does not
+    depend on the Hamiltonians' units; Hermiticity is checked relative to
+    each generator's largest entry.  Left-normed brackets
     [g_1, [g_2, [..., g_k]]] span the generated algebra (D'Alessandro,
     *Introduction to Quantum Control and Dynamics*, ch. 3); the final span
     holds the generators and is closed under every ad_g, so by induction on
@@ -529,8 +535,9 @@ def lie_closure_dimension(generators, tol: float = 1e-10) -> int:
             raise ValueError("generators must share one dimension")
         if not np.isfinite(m).all():
             raise ValueError("generators must be finite")
-        if np.abs(m - m.conj().T).max() > 1e-10:
+        if np.abs(m - m.conj().T).max() > 1e-10 * np.abs(m).max():
             raise ValueError("generators must be Hermitian")
+    scale = max(np.abs(m).max() for m in mats) or 1.0
 
     basis = np.empty((dim * dim, dim, dim), dtype=complex)
     flat = basis.reshape(dim * dim, -1)
@@ -547,7 +554,7 @@ def lie_closure_dimension(generators, tol: float = 1e-10) -> int:
             size += 1
 
     for m in mats:
-        try_add(1j * (m - (np.trace(m) / dim) * np.eye(dim)))
+        try_add(1j / scale * (m - (np.trace(m) / dim) * np.eye(dim)))
     gens, i = basis[:size], 0
     while i < size < dim * dim - 1:
         for candidate in gens @ basis[i] - basis[i] @ gens:

@@ -239,22 +239,6 @@ def test_numerical_failure_exit_code(tmp_path):
 
 
 class TestDiagnostics:
-    def test_nonpositive_fd_step_is_flagged(self, tmp_path):
-        cfg = {
-            "mode": "optimize",
-            "system": {"model": "ising_chain", "n": 1, "noise": "bitflip",
-                       "gamma_star": 5.0},
-            "initial": {"state": "zero"},
-            "target": {"state": "thermal"},
-            "horizon": {"T": 6.0, "slices": 10},
-            "optimizer": {"restarts": 1, "max_iters": 3, "fd_step": -1},
-        }
-        assert validate(cfg, "optimize") == ["optimizer: fd_step must be positive"]
-        path = write_config(tmp_path, cfg)
-        assert main(["validate", "--config", str(path)]) == 2
-        assert main(["optimize", "--config", str(path), "--out",
-                     str(tmp_path / "x")]) == 2
-
     def test_bad_system_gives_one_diagnostic(self, tmp_path, capsys):
         cfg = base_simulate_config()
         cfg["system"]["noisy_site"] = 9
@@ -428,7 +412,7 @@ TINY = {
         "target": {"state": "thermal"},
         "horizon": {"T": 2.0, "slices": 3},
         "optimizer": {"restarts": 1, "noise_blocks": 1, "u_scale": 0.5, "max_iters": 2,
-                      "tol": 1e-6, "fd_step": 1e-7},
+                      "tol": 1e-6},
     },
     "hlp": {
         "mode": "hlp", "seed": 0,

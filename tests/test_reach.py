@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from noisectrl.exceptions import ConfigurationError, ReachabilityError
 from noisectrl.lindblad import ThetaChannelParams, diag_channel_theta
@@ -299,6 +299,14 @@ class TestHlpExecute:
             with pytest.raises(ValueError, match="at least one Trotter cycle"):
                 compile_or_predict(plan, system, trotter_steps=trotter)
 
+    @pytest.mark.parametrize("trotter", [2.5, 3.0])
+    def test_rejects_non_integer_trotter_count(self, trotter):
+        plan = hlp_plan([0.4, 0.3, 0.2, 0.1], np.full(4, 0.25), gamma_star=5.0)
+        system = ising_chain(2, noise_kind="bitflip", gamma_star=5.0)
+        for compile_or_predict in (hlp_execute, predict_executed_spectrum):
+            with pytest.raises(ValueError, match="Trotter count must be an integer"):
+                compile_or_predict(plan, system, trotter_steps=trotter)
+
 
 PAIRS4 = [(j, k) for j in range(4) for k in range(j + 1, 4)]
 
@@ -476,3 +484,13 @@ def test_closure_matches_all_pairs_reference(gens, seed):
                     [u @ g @ u.conj().T for g in gens]):
         assert _all_pairs_closure(variant) == expected
         assert lie_closure_dimension(variant) == expected
+
+
+@settings(max_examples=15, deadline=None)
+@given(gens=pauli_generator_sets(), exponent=st.floats(-12.0, 12.0))
+@example(gens=[SIGMA_X, SIGMA_Y], exponent=-11.0)
+def test_closure_dimension_is_unit_invariant(gens, exponent):
+    """Rescaling every Hamiltonian by one factor c, i.e. changing units,
+    leaves the generated algebra and so its dimension unchanged."""
+    c = 10.0 ** exponent
+    assert lie_closure_dimension([c * g for g in gens]) == lie_closure_dimension(gens)
