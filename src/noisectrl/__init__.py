@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`noisectrl.qops`       operator algebra, vectorization, spectra, density operators
-* :mod:`noisectrl.lindblad`   the one Liouvillian builder, propagators, closed-form channels
+* :mod:`noisectrl.lindblad`   the Pauli basis, the one generator builder, propagators, closed-form channels
 * :mod:`noisectrl.models`     Ising chains, the ion-trap system, named states
 * :mod:`noisectrl.reach`      majorisation, switch times, HLP scheduling, Lie closure
 * :mod:`noisectrl.schedule`   segmented schedules (ideal unitaries + holds)
@@ -20,7 +20,7 @@ from .qops import (IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y,
 from .lindblad import (BathParams, ThetaChannelParams, assemble_liouvillian,
                        commutator_superop, diag_channel_theta,
                        dissipator_superop, heat_bath_generator, liouvillians,
-                       propagator, theta_channel_exact, theta_generator,
+                       pauli_basis, propagator, theta_channel_exact, theta_generator,
                        trotter_decoupled_propagator, v_theta)
 from .models import (ControlSystem, ghz_state, ion_trap_model, ising_chain,
                      thermal_state, zero_state)

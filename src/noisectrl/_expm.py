@@ -1,11 +1,12 @@
 """Dense matrix exponential via Pade-13 scaling and squaring.
 
-Works on single matrices or stacks of shape (..., n, n).  Stacks are
-processed in cache-sized chunks; within a chunk the scaling exponent is
-shared (taken from the largest 1-norm), which keeps the squaring loop
-uniform, and over-scaling the smaller members is harmless.  Generators
-here are non-normal Liouvillians, so spectral decomposition is
-deliberately not used.
+Works on single matrices or stacks of shape (..., n, n), real or complex;
+float64 input stays float64, anything else runs in complex128.  Stacks are
+processed in cache-sized chunks.  Every matrix gets its own scaling
+exponent from its own 1-norm, and a squaring step multiplies only the
+members that still need it, so one large-amplitude member does not
+over-scale its neighbours.  Generators here are non-normal Liouvillians, so
+spectral decomposition is deliberately not used.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ _CHUNK_BYTES = 25_000_000
 
 
 def _expm_chunk(a: np.ndarray) -> np.ndarray:
-    norm1 = np.abs(a).sum(axis=-2).max(axis=-1).max()
-    s = 0
-    if norm1 > _THETA13:
-        s = int(np.ceil(np.log2(norm1 / _THETA13)))
-    x = a / (2.0 ** s)
+    norm1 = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = np.zeros(len(a), dtype=int)
+    big = norm1 > _THETA13
+    s[big] = np.ceil(np.log2(norm1[big] / _THETA13))
+    x = a / (2.0 ** s)[:, None, None]
 
     n = a.shape[-1]
-    ident = np.broadcast_to(np.eye(n, dtype=complex), x.shape)
+    ident = np.broadcast_to(np.eye(n, dtype=a.dtype), x.shape)
     b = _B13
     x2 = x @ x
     x4 = x2 @ x2
@@ -47,8 +48,12 @@ def _expm_chunk(a: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"Pade denominator is singular: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            r = r @ r
+        for step in range(s.max(initial=0)):
+            todo = s > step
+            if todo.all():
+                r = r @ r
+            else:
+                r[todo] = r[todo] @ r[todo]
     if not np.all(np.isfinite(r)):
         raise ValueError("matrix exponential overflowed")
     return r
@@ -56,7 +61,8 @@ def _expm_chunk(a: np.ndarray) -> np.ndarray:
 
 def expm(a: np.ndarray) -> np.ndarray:
     """exp(a) for a single matrix or a stack (..., n, n) of matrices."""
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    a = a.astype(float if np.isrealobj(a) else complex, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -67,7 +73,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     lead = a.shape[:-2]
     n = a.shape[-1]
     flat = a.reshape(-1, n, n)
-    chunk = max(1, _CHUNK_BYTES // (16 * n * n))
+    chunk = max(1, _CHUNK_BYTES // (a.itemsize * n * n))
     if flat.shape[0] <= chunk:
         out = _expm_chunk(flat)
     else:

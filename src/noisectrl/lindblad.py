@@ -8,31 +8,60 @@ Sign conventions, fixed once and pinned by the tests:
   so that ``d rho/dt = gamma (V rho V^dag - {V^dag V, rho}/2) - i [H, rho]``.
 * propagator of a slice ``X = exp(-dt L)``.
 
-:func:`liouvillians` is the one place L is built: the optimizer's slice
-stacks and the schedule's holds (through :func:`assemble_liouvillian`, its
-bounds-checked single-slice form) both come from it.  Everything is dense;
-the target scale is a handful of qubits.
+Two bases are in use.  :func:`commutator_superop`, :func:`dissipator_superop`
+and the closed-form single-qubit channels act on the column-stacked
+``vec(rho)`` of :mod:`noisectrl.qops`.  A system's generators live in the
+Pauli basis: the orthonormal basis ``{P_a / sqrt(N)}`` of the ``N^2 = 4^n``
+Pauli strings ``P_a = p_{a_1} kron ... kron p_{a_n}`` with
+``p = (1, sigma_x, sigma_y, sigma_z)`` and string index
+``a = sum_q a_q 4^(n-q)`` (qubit 1 most significant, as for computational
+states).  :func:`pauli_basis` is the unitary ``B`` whose column ``a`` is
+``vec(P_a) / sqrt(N)``: a state has the real coordinates
+``r = B^dag vec(rho)``, ``r_a = tr(P_a rho) / sqrt(N)``, and a
+superoperator ``S`` becomes ``B^dag S B``.  A Lindblad generator maps
+Hermitian matrices to Hermitian matrices, so there it is a real matrix;
+trace preservation reads "row 0 is zero", and since ``B`` is unitary every
+Frobenius distance is unchanged.
+
+Each system's real generator stack ``(1 + C + L, N^2, N^2)`` (drift plus
+background noise, then ``i H_hat`` of each control, then ``Gamma_hat`` of
+each switchable noise) is built once, straight from Pauli products, on
+first use of ``ControlSystem.pauli_generators``.  :func:`liouvillians`
+contracts slice amplitudes with that stack, so it and
+:func:`assemble_liouvillian` return real Pauli-basis generators.  States
+return to ``vec(rho)`` only where they leave the library: in
+``optim.Trajectory.states`` and in the cached hold propagators of
+``schedule.propagate_schedule``.  Everything is dense; the target scale is
+a handful of qubits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
 
 from . import _expm
 from .exceptions import NumericalHealthError
-from .qops import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, as_matrix
+from .qops import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix
 
 __all__ = [
-    "commutator_superop", "dissipator_superop", "liouvillians", "assemble_liouvillian",
+    "commutator_superop", "dissipator_superop", "pauli_basis",
+    "liouvillians", "assemble_liouvillian",
     "propagator", "expm_stack",
     "v_theta", "theta_generator", "theta_channel_exact",
     "ThetaChannelParams", "diag_channel_theta",
     "BathParams", "heat_bath_generator",
     "trotter_decoupled_propagator",
 ]
+
+_PAULIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+
+# relative size of the imaginary part and of row 0 of a Pauli-basis
+# generator that still counts as rounding
+_ROUNDING = 1e-12
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,61 +97,164 @@ def dissipator_superop(v) -> np.ndarray:
     return -d_hat
 
 
+@lru_cache(maxsize=None)
+def _pauli_tables(n: int):
+    """Basis B, product index ``a ^ b``, phase w, commutator and anticommutator tables.
+
+    With the order (1, x, y, z) the product of two Pauli strings is, up to
+    its phase ``w``, the string whose index is the bitwise XOR of theirs:
+    ``P_a P_b = w[a, b] P_(a^b)``.  So ``A P_b`` has the coefficient
+    ``alpha[a^b] w[a^b, b]`` on ``P_a`` and ``P_b A`` the coefficient
+    ``alpha[a^b] w[b, a^b]``; ``comm`` holds ``i (w[a^b, b] - w[b, a^b])``
+    (0 or +-2) and ``anti`` holds ``(w[a^b, b] + w[b, a^b]) / 2`` (0 or +-1).
+    """
+    idx = np.arange(4)
+    w1 = np.einsum("abij,abji->ab", _PAULIS[idx[:, None] ^ idx],
+                   _PAULIS[:, None] @ _PAULIS[None]) / 2
+    strings, phase = np.ones((1, 1, 1), dtype=complex), np.ones((1, 1), dtype=complex)
+    for _ in range(n):
+        dim = 2 * strings.shape[-1]
+        strings = _kron(strings[:, None], _PAULIS).reshape(-1, dim, dim)
+        phase = np.kron(phase, w1)
+    basis = np.ascontiguousarray(strings.transpose(0, 2, 1).reshape(dim * dim, -1).T) / np.sqrt(dim)
+    cols = np.arange(dim * dim)
+    xor = np.bitwise_xor.outer(cols, cols)
+    left, right = phase[xor, cols], phase[cols, xor]
+    comm = (1j * (left - right)).real
+    anti = (0.5 * (left + right)).real
+    tables = (basis, xor, phase, comm, anti)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def pauli_basis(n: int) -> np.ndarray:
+    """Unitary (4^n, 4^n) matrix whose column a is vec(P_a) / sqrt(2^n).
+
+    ``B^dag vec(rho)`` are the real Pauli coordinates of a Hermitian
+    ``rho`` and ``B^dag S B`` the Pauli-basis form of a superoperator ``S``
+    on ``vec(rho)``; the returned array is shared and read-only.
+    """
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    return _pauli_tables(n)[0]
+
+
 def _operators(terms, dim: int) -> np.ndarray:
     """The operators of controls or noises as one (count, N, N) stack."""
     return np.array([as_matrix(t.operator) for t in terms], dtype=complex).reshape(-1, dim, dim)
+
+
+def _require_rounding(err: np.ndarray, tol: np.ndarray, what: str) -> None:
+    """Raise NumericalHealthError at the first k whose err[k] exceeds tol[k] (or is NaN)."""
+    bad = np.flatnonzero(~(err <= tol))
+    if bad.size:
+        k = bad[0]
+        raise NumericalHealthError(f"{what} {k}: {err[k]:.2e} exceeds rounding ({tol[k]:.2e})")
+
+
+def _real(x: np.ndarray, what: str) -> np.ndarray:
+    """Real part of each x[k], after checking its imaginary part is rounding."""
+    axes = tuple(range(1, x.ndim))
+    _require_rounding(np.abs(x.imag).max(axis=axes), _ROUNDING * np.abs(x).max(axis=axes),
+                      f"imaginary part of {what}")
+    return x.real
+
+
+def _generator_stack(system) -> np.ndarray:
+    """The real Pauli-basis generators of a system, checked, as one read-only stack.
+
+    Rows: drift ``i H_hat(H_0)`` plus every background ``rate Gamma_hat(V)``,
+    then ``i H_hat(H_j)`` per control, then ``Gamma_hat(V_l)`` per
+    switchable noise.  Each comes straight from Pauli products (see
+    :func:`_pauli_tables`): a commutator is a gather of the Hamiltonian's
+    coefficients, and ``V P_b V^dag`` runs over the pairs of V's nonzero
+    coefficients.  Raises :class:`NumericalHealthError` if an imaginary part
+    or row 0 (trace preservation) of a generator exceeds rounding.
+    """
+    basis, xor, phase, comm, anti = _pauli_tables(system.n)
+    size = len(basis)
+    cols = np.arange(size)
+
+    def coefficients(ops):
+        vecs = ops.swapaxes(-1, -2).reshape(len(ops), size)
+        return vecs @ basis.conj() / np.sqrt(system.dim)
+
+    def dissipator(v):
+        c = coefficients(v[None])[0]
+        out = coefficients((v.conj().T @ v)[None])[0][xor] * anti
+        ls = np.flatnonzero(c)[:, None]
+        for k in ls[:, 0]:
+            b_l = cols ^ ls
+            out[k ^ b_l, cols] -= (c[k] * c[ls].conj()) * phase[cols, ls] * phase[k, b_l]
+        return _real(out[None], "dissipator")[0]
+
+    hams = np.concatenate([as_matrix(system.h0)[None], _operators(system.controls, system.dim)])
+    stack = np.empty((len(hams) + len(system.noises), size, size))
+    np.multiply(_real(coefficients(hams), "Hamiltonian")[:, xor], comm, out=stack[:len(hams)])
+    for op, rate in system.background_noises:
+        if rate > 0:
+            stack[0] += rate * dissipator(as_matrix(op))
+    for k, noise in enumerate(system.noises):
+        stack[len(hams) + k] = dissipator(as_matrix(noise.operator))
+
+    _require_rounding(np.abs(stack[:, 0]).max(axis=-1),
+                      _ROUNDING * np.abs(stack).max(axis=(1, 2)),
+                      "row 0 (trace preservation) of generator")
+    stack[:, 0] = 0.0
+    stack.setflags(write=False)
+    return stack
 
 
 def liouvillians(system, u, gamma) -> np.ndarray:
     """Slice generators L_k = i H_hat(H_0 + sum_j u_kj H_j) + sum_l gamma_kl Gamma_hat_l.
 
     ``u`` (M, m) and ``gamma`` (M, l) hold one row of amplitudes per slice;
-    the result is the stack (M, N^2, N^2).  The Hamiltonian is summed in
-    Hilbert space before its one commutator superoperator is taken; the
-    background (non-switchable) noise of the system is added to every slice.
+    the result is the real Pauli-basis stack (M, N^2, N^2), one contraction
+    of the amplitudes with the system's generator stack.  The background
+    (non-switchable) noise of the system is part of every slice.
     """
     u = np.asarray(u, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    dim = system.dim
-    h = system.h0 + np.einsum("kj,jab->kab", u, _operators(system.controls, dim))
-    ell = 1j * commutator_superop(h)
-    ell += np.einsum("kl,lab->kab", gamma, dissipator_superop(_operators(system.noises, dim)))
-    for op, rate in system.background_noises:
-        if rate > 0:
-            ell += rate * dissipator_superop(op)
-    return ell
+    if u.ndim != 2 or gamma.shape != (len(u), len(system.noises)) \
+            or u.shape[1] != len(system.controls):
+        raise ValueError(f"expected amplitudes of shapes (M, {len(system.controls)}) and "
+                         f"(M, {len(system.noises)}), got {u.shape} and {gamma.shape}")
+    stack = system.pauli_generators
+    amps = np.concatenate([np.ones((len(u), 1)), u, gamma], axis=1)
+    size = stack.shape[-1]
+    return (amps @ stack.reshape(len(stack), -1)).reshape(len(u), size, size)
 
 
 def assemble_liouvillian(system, u, gamma) -> np.ndarray:
     """Build L = i H_hat(H_0 + sum_j u_j H_j) + sum_l gamma_l Gamma_hat_l.
 
-    The bounds-checked single-slice form of :func:`liouvillians`: ``u`` are
-    unbounded real coherent amplitudes, one per control; ``gamma`` must lie
-    in [0, gamma_max] for each switchable noise channel.  Background
-    (non-switchable) noise terms of the system are always added.
+    The bounds-checked single-slice form of :func:`liouvillians`, in the
+    real Pauli basis: ``u`` are unbounded real coherent amplitudes, one per
+    control; ``gamma`` must lie in [0, gamma_max] for each switchable noise
+    channel.  Background (non-switchable) noise terms of the system are
+    always added.
     """
-    u = np.asarray(u, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    if u.shape != (len(system.controls),):
-        raise ValueError(f"expected {len(system.controls)} control amplitudes, got {u.shape}")
-    if gamma.shape != (len(system.noises),):
-        raise ValueError(f"expected {len(system.noises)} noise amplitudes, got {gamma.shape}")
+    ell = liouvillians(system, np.asarray(u, dtype=float)[None], gamma[None])[0]
     for g, noise in zip(gamma, system.noises):
         if g < 0 or g > noise.gamma_max:
             raise ValueError(
                 f"noise amplitude {g} for '{noise.label}' outside [0, {noise.gamma_max}]")
-    return liouvillians(system, u[None], gamma[None])[0]
+    return ell
 
 
 def propagator(ell: np.ndarray, dt: float) -> np.ndarray:
-    """Slice propagator X = exp(-dt L), valid for non-normal L."""
+    """Slice propagator X = exp(-dt L), valid for non-normal L, in L's basis."""
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    return expm_stack(-dt * np.asarray(ell, dtype=complex))
+    return expm_stack(-dt * np.asarray(ell))
 
 
 def expm_stack(ells: np.ndarray) -> np.ndarray:
-    """exp() of a stack of exponents (..., m, m); shared scaling, Pade-13."""
+    """exp() of a stack of exponents (..., m, m); Pade-13 with per-matrix scaling.
+
+    Real input gives a real result."""
     try:
         return _expm.expm(ells)
     except ValueError as exc:

@@ -9,11 +9,12 @@ coupling J (or the trap interaction strength), times in the inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .lindblad import v_theta
+from .lindblad import _generator_stack, v_theta
 from .qops import (DensityOperator, IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Y,
                    SIGMA_Z, as_matrix, embed_local)
 
@@ -40,7 +41,12 @@ class Noise:
 
 @dataclass(frozen=True)
 class ControlSystem:
-    """Drift + labelled controls + switchable and background noise."""
+    """Drift + labelled controls + switchable and background noise.
+
+    The operators are taken as fixed once the system is built: the real
+    Pauli-basis generator stack is computed from them on first use and
+    kept.
+    """
 
     n: int
     h0: np.ndarray
@@ -74,6 +80,16 @@ class ControlSystem:
     @property
     def dim(self) -> int:
         return 2 ** self.n
+
+    @cached_property
+    def pauli_generators(self) -> np.ndarray:
+        """Read-only real stack (1 + C + L, N^2, N^2) of Pauli-basis generators.
+
+        Row 0 is the drift ``i H_hat(H_0)`` plus the background noise, then
+        ``i H_hat(H_j)`` per control and ``Gamma_hat(V_l)`` per switchable
+        noise (see :mod:`noisectrl.lindblad` for the basis).
+        """
+        return _generator_stack(self)
 
     @property
     def gamma_bounds(self) -> np.ndarray:

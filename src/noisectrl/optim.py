@@ -1,17 +1,25 @@
 """Piecewise-constant sequence propagation and gradient-based optimization.
 
 The error functional is the Frobenius distance between the propagated and
-target vectorized states,
+target states,
 
-    delta_F^2 = || X_M ... X_1 vec(rho_0) - vec(rho_target) ||^2,
+    delta_F^2 = || X_M ... X_1 r_0 - r_target ||^2,
 
-with slice propagators X_k = exp(A_k), A_k = -dt L_k.  The gradient is
-exact: with forward states f_k and backward vectors b_k, the derivative of
-delta_F^2 along a generator direction D of slice k is 2 Re <Q_k, -dt D>,
-where Q_k = L(A_k^H, b_k f_k^H) is the Frechet derivative of the
-exponential.  Van Loan's identity gives Q_k as the upper-right block of
-exp([[A_k^H, b_k f_k^H], [0, A_k^H]]), so one Pade stack of M doubled
-matrices serves every direction; the L_k are non-normal, so no
+with slice propagators X_k = exp(A_k), A_k = -dt L_k.  Everything here runs
+in real arithmetic in the Pauli basis of :mod:`noisectrl.lindblad`: the
+L_k are real (N^2, N^2) matrices from the system's generator stack and the
+states are the real Pauli coordinates r = B^dag vec(rho), with B =
+``pauli_basis(n)`` (columns vec(P_a) / sqrt(N), Pauli strings in base-4
+order, qubit 1 most significant).  B is unitary, so delta_F is the
+Frobenius distance of the density matrices; :func:`propagate` converts its
+states back to column-stacked vec(rho) for ``Trajectory.states``.
+
+The gradient is exact: with forward states f_k and backward vectors b_k,
+the derivative of delta_F^2 along a generator direction D of slice k is
+2 <Q_k, -dt D>, where Q_k = L(A_k^T, b_k f_k^T) is the Frechet derivative
+of the exponential.  Van Loan's identity gives Q_k as the upper-right
+block of exp([[A_k^T, b_k f_k^T], [0, A_k^T]]), so one Pade stack of M
+doubled matrices serves every direction; the L_k are non-normal, so no
 eigendecomposition is used.  Box constraints (noise amplitudes in
 [0, gamma_max], coherent amplitudes free) are handled by a projected
 limited-memory quasi-Newton iteration (scipy's L-BFGS-B).
@@ -25,9 +33,8 @@ import numpy as np
 import scipy.optimize
 
 from .exceptions import NumericalHealthError
-from .lindblad import (_operators, commutator_superop, dissipator_superop,
-                       expm_stack as _expm_stack, liouvillians)
-from .qops import as_matrix, unvec, vec
+from .lindblad import expm_stack as _expm_stack, liouvillians, pauli_basis
+from .qops import HERM_ATOL, as_matrix, unvec, vec
 
 __all__ = [
     "ControlSequence", "TransferProblem", "Trajectory",
@@ -83,8 +90,11 @@ class TransferProblem:
         if self.total_time <= 0:
             raise ValueError("total time must be positive")
         dim = self.system.dim
-        if as_matrix(self.rho0).shape != (dim, dim) or as_matrix(self.target).shape != (dim, dim):
-            raise ValueError("state dimensions do not match the system")
+        for rho in (as_matrix(self.rho0), as_matrix(self.target)):
+            if rho.shape != (dim, dim):
+                raise ValueError("state dimensions do not match the system")
+            if not np.abs(rho - rho.conj().T).max() <= HERM_ATOL:
+                raise ValueError(f"states must be Hermitian within {HERM_ATOL}")
 
     @property
     def dt(self) -> float:
@@ -102,10 +112,14 @@ class Trajectory:
         return unvec(self.states[-1])
 
 
+def _coordinates(system, rho) -> np.ndarray:
+    """Real Pauli coordinates B^dag vec(rho) of a Hermitian state."""
+    return (pauli_basis(system.n).conj().T @ vec(as_matrix(rho))).real
+
+
 def _directions(system):
     """Generator derivatives dL/du_j = i H_hat(H_j), then dL/dgamma_l = Gamma_hat(V_l)."""
-    return np.concatenate([1j * commutator_superop(_operators(system.controls, system.dim)),
-                           dissipator_superop(_operators(system.noises, system.dim))])
+    return system.pauli_generators[1:]
 
 
 def _check_sequence(problem, seq):
@@ -126,8 +140,8 @@ def _forward(problem, u, gamma):
     """Slice generators L, propagators X = exp(-dt L) and the forward states f."""
     ell = liouvillians(problem.system, u, gamma)
     x = _expm_stack(-problem.dt * ell)
-    f = np.empty((len(x) + 1, x.shape[-1]), dtype=complex)
-    f[0] = vec(as_matrix(problem.rho0))
+    f = np.empty((len(x) + 1, x.shape[-1]))
+    f[0] = _coordinates(problem.system, problem.rho0)
     for k in range(len(x)):
         f[k + 1] = x[k] @ f[k]
     return ell, x, f
@@ -138,6 +152,7 @@ def propagate(problem: TransferProblem, seq: ControlSequence,
     """Propagate slice by slice, recording every state and its spectrum."""
     _check_sequence(problem, seq)
     _, _, f = _forward(problem, seq.u, seq.gamma)
+    f = f @ pauli_basis(problem.system.n).T
     m = seq.slice_count
     dim = problem.system.dim
     spectra = np.empty((m + 1, dim))
@@ -161,25 +176,25 @@ def error(problem: TransferProblem, seq: ControlSequence) -> float:
     _, _, f = _forward(problem, seq.u, seq.gamma)
     if not np.all(np.isfinite(f[-1])):
         raise NumericalHealthError("propagation produced non-finite state")
-    return float(np.linalg.norm(f[-1] - vec(as_matrix(problem.target))))
+    return float(np.linalg.norm(f[-1] - _coordinates(problem.system, problem.target)))
 
 
 def _error_and_gradient(problem, u, gamma, directions):
     """delta_F^2 and its exact gradient, columns ordered controls then noises."""
     ell, x, f = _forward(problem, u, gamma)
     m, dim2 = x.shape[:2]
-    r = f[m] - vec(as_matrix(problem.target))
-    b = np.empty((m, dim2), dtype=complex)
+    r = f[m] - _coordinates(problem.system, problem.target)
+    b = np.empty((m, dim2))
     b[m - 1] = r
     for k in range(m - 1, 0, -1):
-        b[k - 1] = x[k].conj().T @ b[k]
+        b[k - 1] = x[k].T @ b[k]
 
-    # Van Loan block: its upper-right corner is Q_k = L(A_k^H, b_k f_k^H)
-    ah = -problem.dt * ell.conj().transpose(0, 2, 1)
-    e = b[:, :, None] * f[:m, None, :].conj()
-    q = _expm_stack(np.block([[ah, e], [np.zeros_like(ah), ah]]))[:, :dim2, dim2:]
-    grad = -2.0 * problem.dt * np.einsum("kab,cab->kc", q.conj(), directions).real
-    return float(np.vdot(r, r).real), grad
+    # Van Loan block: its upper-right corner is Q_k = L(A_k^T, b_k f_k^T)
+    at = -problem.dt * ell.transpose(0, 2, 1)
+    e = b[:, :, None] * f[:m, None, :]
+    q = _expm_stack(np.block([[at, e], [np.zeros_like(at), at]]))[:, :dim2, dim2:]
+    grad = -2.0 * problem.dt * np.einsum("kab,cab->kc", q, directions)
+    return float(r @ r), grad
 
 
 def gradient(problem: TransferProblem, seq: ControlSequence) -> np.ndarray:

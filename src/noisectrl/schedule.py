@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NumericalHealthError
-from .lindblad import assemble_liouvillian, propagator
+from .lindblad import assemble_liouvillian, pauli_basis, propagator
 from .qops import as_matrix, sorted_spectrum, unvec, vec
 
 __all__ = ["UnitarySegment", "HoldSegment", "Schedule", "propagate_schedule"]
@@ -76,9 +76,12 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
     one row per segment boundary when ``record`` is set.  The state stays a
     matrix: a unitary acts as ``U rho U^dag``, a hold as its propagator on
     ``vec(rho)``.  Hold propagators are memoized on (amplitudes, duration),
-    which collapses the cost of the long repetitive decoupling trains.
+    which collapses the cost of the long repetitive decoupling trains; each
+    is exponentiated in the real Pauli basis and taken to the column-stacked
+    basis once, when it enters the memo.
     """
     rho = as_matrix(rho0)
+    basis = pauli_basis(system.n)
     cache: dict = {}
     times = [0.0]
     spectra = [sorted_spectrum(rho)] if record else None
@@ -92,7 +95,7 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
             x = cache.get(key)
             if x is None:
                 ell = assemble_liouvillian(system, seg.u, seg.gamma)
-                x = propagator(ell, seg.duration)
+                x = basis @ propagator(ell, seg.duration) @ basis.conj().T
                 cache[key] = x
             rho = unvec(x @ vec(rho))
             t += seg.duration

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisectrl import lindblad, models
 from noisectrl.cli import MODES, main, validate
+from noisectrl.exceptions import NumericalHealthError
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -227,6 +229,25 @@ class TestOtherModes:
         assert result["converged"] is True
         history = result["error_history"]
         assert min(history) <= 1e-5
+
+
+def test_controllability_never_builds_the_generator_stack(tmp_path, monkeypatch):
+    def refuse(system):
+        raise AssertionError("generator stack built")
+    monkeypatch.setattr(models, "_generator_stack", refuse)
+    cfg = write_config(tmp_path, {
+        "mode": "controllability",
+        "system": {"model": "ising_chain", "n": 2, "noise": "amp", "dephasing": 0.1}})
+    assert main(["controllability", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+
+
+def test_broken_generator_stack_exits_3(tmp_path, monkeypatch):
+    tables = lindblad._pauli_tables(2)
+    monkeypatch.setattr(lindblad, "_pauli_tables", lambda n: (tables[0] * 1j,) + tables[1:])
+    with pytest.raises(NumericalHealthError):
+        models.ising_chain(2).pauli_generators
+    path = write_config(tmp_path, base_simulate_config())
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 3
 
 
 def test_numerical_failure_exit_code(tmp_path):

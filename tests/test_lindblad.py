@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisectrl import _expm, lindblad
 from noisectrl.exceptions import NumericalHealthError
 from noisectrl.lindblad import (BathParams, ThetaChannelParams,
                                 assemble_liouvillian, commutator_superop,
                                 diag_channel_theta, dissipator_superop,
-                                heat_bath_generator, propagator,
+                                heat_bath_generator, pauli_basis, propagator,
                                 theta_channel_exact, theta_generator,
                                 trotter_decoupled_propagator, v_theta)
 from noisectrl.lindblad import liouvillians
-from noisectrl.models import ising_chain
-from noisectrl.qops import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
+from noisectrl.models import ControlSystem, ising_chain
+from noisectrl.qops import (IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             embed_local, random_density, unvec, vec)
 
 
@@ -86,7 +87,8 @@ class TestAssembleLiouvillian:
     def test_single_qubit_bitflip_structure(self):
         # gamma * Gamma_hat(sigma_x / 2) = (gamma / 4) * displayed sigma_x generator
         sys1 = ising_chain(1, noise_kind="bitflip", gamma_star=5.0)
-        ell = assemble_liouvillian(sys1, np.zeros(2), np.array([2.0]))
+        b = pauli_basis(1)
+        ell = b @ assemble_liouvillian(sys1, np.zeros(2), np.array([2.0])) @ b.conj().T
         displayed = -np.array([
             [-1, 0, 0, 1], [0, -1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1],
         ], dtype=complex)
@@ -171,15 +173,110 @@ class TestLiouvillians:
         expected = expected + gamma[0] * dissipator_superop(system.noises[0].operator)
         for op, rate in system.background_noises:
             expected = expected + rate * dissipator_superop(op)
-        np.testing.assert_allclose(liouvillians(system, u[None], gamma[None])[0], expected,
-                                   rtol=0, atol=1e-13)
+        b = pauli_basis(2)
+        np.testing.assert_allclose(b @ liouvillians(system, u[None], gamma[None])[0] @ b.conj().T,
+                                   expected, rtol=0, atol=1e-13)
 
     def test_dephasing_background_decays_coherence(self):
         # sigma_z/2 at rate g on one qubit damps |0><1| at rate g/2
         system = ising_chain(1, gamma_star=5.0, dephasing=0.4)
-        ell = assemble_liouvillian(system, np.zeros(2), np.zeros(1))
+        b = pauli_basis(1)
+        ell = b @ assemble_liouvillian(system, np.zeros(2), np.zeros(1)) @ b.conj().T
         coh = vec(np.array([[0, 1], [0, 0]], dtype=complex))
         np.testing.assert_allclose(ell @ coh, 0.2 * coh, atol=1e-15)
+
+
+def superoperator_terms(system):
+    """The stack's terms from the column-stacked primitives, in its row order."""
+    drift = 1j * commutator_superop(system.h0)
+    for op, rate in system.background_noises:
+        drift = drift + rate * dissipator_superop(op)
+    return np.array([drift] + [1j * commutator_superop(c.operator) for c in system.controls]
+                    + [dissipator_superop(noise.operator) for noise in system.noises])
+
+
+class TestPauliStack:
+    def test_basis_columns_are_normalised_pauli_strings(self):
+        paulis = [IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z]
+        b = pauli_basis(2)
+        np.testing.assert_allclose(b.conj().T @ b, np.eye(16), rtol=0, atol=1e-15)
+        for a in range(16):
+            string = np.kron(paulis[a // 4], paulis[a % 4])
+            np.testing.assert_array_equal(b[:, a], vec(string) / 2)
+        rho = random_density(2, 4).matrix
+        coords = b.conj().T @ vec(rho)
+        assert np.abs(coords.imag).max() < 1e-16
+        assert coords[0] == pytest.approx(0.5)     # tr(rho) / sqrt(N)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3), site=st.integers(1, 3),
+           noise=st.one_of(st.sampled_from(["amp", "bitflip"]), st.floats(0.0, 1.0)),
+           dephasing=st.one_of(st.none(), st.floats(0.01, 2.0)),
+           coupling=st.floats(0.1, 3.0))
+    def test_stack_is_the_real_form_of_the_superoperators(self, n, site, noise, dephasing,
+                                                          coupling):
+        system = ising_chain(n, coupling=coupling, noise_kind=noise, noisy_site=min(site, n),
+                             dephasing=dephasing)
+        stack = system.pauli_generators
+        assert stack.dtype == np.float64
+        assert stack.shape == (1 + len(system.controls) + len(system.noises), 4 ** n, 4 ** n)
+        assert not stack[:, 0].any()
+        b = pauli_basis(n)
+        np.testing.assert_allclose(b @ stack @ b.conj().T, superoperator_terms(system),
+                                   rtol=0, atol=1e-13)
+
+    def test_stack_is_built_once_and_read_only(self):
+        system = ising_chain(2, dephasing=0.1)
+        assert system.pauli_generators is system.pauli_generators
+        with pytest.raises(ValueError):
+            system.pauli_generators[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda t: (t[0] * 1j,) + t[1:], "imaginary part of Hamiltonian"),
+        (lambda t: t[:4] + (2 * t[4],), r"row 0 \(trace preservation\) of generator 5"),
+    ])
+    def test_broken_build_raises(self, monkeypatch, corrupt, message):
+        tables = lindblad._pauli_tables(2)
+        monkeypatch.setattr(lindblad, "_pauli_tables", lambda n: corrupt(tables))
+        with pytest.raises(NumericalHealthError, match=message):
+            ising_chain(2, noise_kind="amp").pauli_generators
+
+    def test_non_finite_drift_raises(self):
+        sys1 = ising_chain(1)
+        bad = ControlSystem(n=1, h0=np.full((2, 2), np.nan), controls=sys1.controls,
+                            noises=sys1.noises)
+        with pytest.raises(NumericalHealthError):
+            liouvillians(bad, np.zeros((1, 2)), np.zeros((1, 1)))
+
+    def test_liouvillians_reject_misshaped_amplitudes(self):
+        sys1 = ising_chain(1)
+        with pytest.raises(ValueError):
+            liouvillians(sys1, np.zeros((2, 3)), np.zeros((2, 0)))
+        with pytest.raises(ValueError):
+            liouvillians(sys1, np.zeros((2, 2)), np.zeros((3, 1)))
+
+
+class TestExpm:
+    def test_real_input_stays_real_and_matches_complex_path(self):
+        system = ising_chain(2, dephasing=0.2)
+        rng = np.random.default_rng(3)
+        a = -0.4 * liouvillians(system, rng.standard_normal((6, 4)),
+                                rng.uniform(0.0, 5.0, (6, 1)))
+        got = _expm.expm(a)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, _expm.expm(a.astype(complex)), rtol=0, atol=1e-14)
+        assert _expm.expm(a[0]).dtype == np.float64
+
+    def test_large_member_does_not_degrade_its_neighbours(self):
+        # every matrix is scaled by its own exponent, so a neighbour of a
+        # large-amplitude slice comes out as if exponentiated alone
+        system = ising_chain(2)
+        rng = np.random.default_rng(5)
+        small = -0.3 * liouvillians(system, rng.standard_normal((2, 4)), np.full((2, 1), 2.0))
+        large = -30.0 * liouvillians(system, 20 * rng.standard_normal((1, 4)), np.full((1, 1), 5.0))
+        got = _expm.expm(np.concatenate([small[:1], large, small[1:]]))
+        for k, member in zip((0, 2), small):
+            np.testing.assert_allclose(got[k], _expm.expm(member), rtol=0, atol=1e-15)
 
 
 class TestPropagator:
@@ -228,16 +325,19 @@ class TestPropagator:
     def test_unital_fixed_point(self):
         sys3 = ising_chain(3, noise_kind="bitflip", gamma_star=5.0)
         ell = assemble_liouvillian(sys3, np.zeros(6), np.array([5.0]))
+        b = pauli_basis(3)
         v_mix = vec(np.eye(8) / 8)
-        np.testing.assert_allclose(propagator(ell, 1.3) @ v_mix, v_mix, atol=1e-10)
+        np.testing.assert_allclose(b @ propagator(ell, 1.3) @ b.conj().T @ v_mix, v_mix,
+                                   atol=1e-10)
 
     def test_amp_damping_ground_state_fixed(self):
         sys3 = ising_chain(3, noise_kind="amp", gamma_star=5.0)
         ell = assemble_liouvillian(sys3, np.zeros(6), np.array([5.0]))
         ground = np.zeros((8, 8), dtype=complex)
         ground[0, 0] = 1.0
-        np.testing.assert_allclose(propagator(ell, 1.1) @ vec(ground), vec(ground),
-                                   atol=1e-10)
+        b = pauli_basis(3)
+        np.testing.assert_allclose(b @ propagator(ell, 1.1) @ b.conj().T @ vec(ground),
+                                   vec(ground), atol=1e-10)
 
     def test_non_finite_input_raises(self):
         bad = np.full((4, 4), np.nan, dtype=complex)

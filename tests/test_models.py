@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noisectrl.lindblad import assemble_liouvillian, propagator
+from noisectrl.lindblad import assemble_liouvillian, pauli_basis, propagator
 from noisectrl.models import (ghz_state, ion_trap_model, ising_chain,
                               thermal_state, zero_state)
 from noisectrl.qops import unvec, vec
@@ -46,7 +46,8 @@ class TestIsingChain:
         # drift + switchable noise leave the diagonal sector invariant at u=0
         sys3 = ising_chain(3, noise_kind="bitflip", gamma_star=5.0)
         ell = assemble_liouvillian(sys3, np.zeros(6), np.array([5.0]))
-        x = propagator(ell, 0.7)
+        b = pauli_basis(3)
+        x = b @ propagator(ell, 0.7) @ b.conj().T
         rng = np.random.default_rng(8)
         for _ in range(5):
             p = rng.random(8)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisectrl.lindblad import assemble_liouvillian, propagator
+from noisectrl.lindblad import assemble_liouvillian, pauli_basis, propagator
 from noisectrl.models import ising_chain, thermal_state, zero_state
 from noisectrl.optim import (ControlSequence, TransferProblem, error, gradient,
                              optimize, optimize_restarts, propagate,
@@ -71,6 +71,17 @@ class TestPropagate:
         seq = ControlSequence(dt=0.25, u=np.zeros((4, 2)), gamma=np.full((4, 1), 6.0))
         with pytest.raises(ValueError):
             propagate(problem, seq)
+
+
+def test_problem_rejects_non_hermitian_states():
+    # states are propagated as real Pauli coordinates, which only a
+    # Hermitian matrix has
+    system = ising_chain(1, gamma_star=5.0)
+    skew = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match="Hermitian"):
+        TransferProblem(system, skew, thermal_state(1), 1.0, 4)
+    with pytest.raises(ValueError, match="Hermitian"):
+        TransferProblem(system, zero_state(1), skew, 1.0, 4)
 
 
 class TestError:
@@ -294,8 +305,10 @@ def test_error_with_background_dephasing_matches_slice_assembly():
     problem = TransferProblem(system, random_density(3, 2), thermal_state(3), 1.2, 6)
     seq = random_sequence(problem, seed=3)
     v = vec(problem.rho0.matrix)
+    b = pauli_basis(3)
     for k in range(seq.slice_count):
-        v = propagator(assemble_liouvillian(system, seq.u[k], seq.gamma[k]), seq.dt) @ v
+        x = propagator(assemble_liouvillian(system, seq.u[k], seq.gamma[k]), seq.dt)
+        v = b @ x @ b.conj().T @ v
     expected = np.linalg.norm(v - vec(problem.target.matrix))
     assert abs(error(problem, seq) - expected) < 1e-12
     traj = propagate(problem, seq)

@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from noisectrl.lindblad import assemble_liouvillian, propagator
+from noisectrl.lindblad import assemble_liouvillian, pauli_basis, propagator
 from noisectrl.models import ising_chain
 from noisectrl.qops import random_density, sorted_spectrum, unvec, vec
 from noisectrl.schedule import (HoldSegment, Schedule, UnitarySegment,
@@ -29,12 +29,14 @@ def random_schedule(rng, system, holds):
 def superoperator_reference(system, schedule, rho0):
     """Every segment as an explicit superoperator on vec(rho)."""
     v = vec(rho0)
+    b = pauli_basis(system.n)
     rows = [sorted_spectrum(rho0)]
     for seg in schedule.segments:
         if isinstance(seg, UnitarySegment):
             v = np.kron(seg.unitary.conj(), seg.unitary) @ v
         else:
-            v = propagator(assemble_liouvillian(system, seg.u, seg.gamma), seg.duration) @ v
+            x = propagator(assemble_liouvillian(system, seg.u, seg.gamma), seg.duration)
+            v = b @ x @ b.conj().T @ v
         rho = unvec(v)
         rows.append(sorted_spectrum((rho + rho.conj().T) / 2))
     return unvec(v), np.array(rows)
