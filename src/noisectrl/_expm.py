@@ -7,11 +7,17 @@ exponent from its own 1-norm, and a squaring step multiplies only the
 members that still need it, so one large-amplitude member does not
 over-scale its neighbours.  Generators here are non-normal Liouvillians, so
 spectral decomposition is deliberately not used.
+
+This is the package's only matrix exponential, looked up as ``_expm.expm``
+at call time.  Non-finite, singular or overflowing cases raise
+:class:`NumericalHealthError` (CLI exit 3); non-square input ``ValueError``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .exceptions import NumericalHealthError
 
 # Pade-13 numerator coefficients (Higham, "Functions of Matrices", Table 10.4)
 _B13 = np.array([
@@ -46,7 +52,7 @@ def _expm_chunk(a: np.ndarray) -> np.ndarray:
     try:
         r = np.linalg.solve(v - u, v + u)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"Pade denominator is singular: {exc}") from exc
+        raise NumericalHealthError(f"Pade denominator is singular: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(s.max(initial=0)):
             todo = s > step
@@ -55,7 +61,7 @@ def _expm_chunk(a: np.ndarray) -> np.ndarray:
             else:
                 r[todo] = r[todo] @ r[todo]
     if not np.all(np.isfinite(r)):
-        raise ValueError("matrix exponential overflowed")
+        raise NumericalHealthError("matrix exponential overflowed")
     return r
 
 
@@ -66,7 +72,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite entries in exponent")
+        raise NumericalHealthError("non-finite entries in exponent")
     single = a.ndim == 2
     if single:
         a = a[None]

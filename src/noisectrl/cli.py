@@ -30,7 +30,7 @@ from . import models, optim, protocols, reach
 from .exceptions import ConfigurationError, NumericalHealthError, ReachabilityError
 from .qops import (SIGMA_MINUS, SIGMA_X, DensityOperator, as_matrix, frobenius_error,
                    random_density, sorted_spectrum, vec)
-from .schedule import HoldSegment, Schedule, UnitarySegment, propagate_schedule
+from .schedule import HoldSegment, Schedule, propagate_schedule
 
 MODES = ("simulate", "optimize", "hlp", "protocol", "controllability", "majorize")
 
@@ -251,25 +251,21 @@ def validate(config, mode: str | None = None) -> list[str]:
 # ---------------------------------------------------------------------------
 # artifact writers
 
+def _write_table(path: Path, labels, columns):
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(labels), comments="")
+
+
 def _write_trajectory(path: Path, times, spectra, errors):
-    dim = spectra.shape[1]
-    header = "time," + ",".join(f"lambda_{i+1}" for i in range(dim)) + ",delta_F"
-    with path.open("w") as fh:
-        fh.write(header + "\n")
-        for t, row, err in zip(times, spectra, errors):
-            fh.write(",".join([_fmt(t)] + [_fmt(v) for v in row] + [_fmt(err)]) + "\n")
+    labels = [f"lambda_{i+1}" for i in range(spectra.shape[1])]
+    _write_table(path, ["time", *labels, "delta_F"], [times, spectra, errors])
 
 
 def _write_slices(path: Path, system, seq: optim.ControlSequence):
     labels = [f"u_{c}" for c in system.control_labels()]
     labels += [f"gamma_{nz}" for nz in system.noise_labels()]
-    with path.open("w") as fh:
-        fh.write("slice,t_start," + ",".join(labels) + "\n")
-        for k in range(seq.slice_count):
-            row = [str(k), _fmt(k * seq.dt)]
-            row += [_fmt(v) for v in seq.u[k]]
-            row += [_fmt(v) for v in seq.gamma[k]]
-            fh.write(",".join(row) + "\n")
+    k = np.arange(seq.slice_count)
+    _write_table(path, ["slice", "t_start", *labels], [k, k * seq.dt, seq.u, seq.gamma])
 
 
 def _write_segments(path: Path, schedule: Schedule):
@@ -320,6 +316,18 @@ def _run_transfer(built, out):
     return EXIT_OK
 
 
+def _run_schedule(out, system, schedule, rho0, target_spectrum):
+    """Propagate a schedule, write its segments and trajectory; return the final state.
+
+    A trajectory row holds the descending spectrum at a segment boundary and
+    its Euclidean distance to the descending ``target_spectrum``."""
+    rho_f, times, spectra = propagate_schedule(system, schedule, rho0, record=True)
+    _write_segments(out / "sequence.csv", schedule)
+    _write_trajectory(out / "trajectory.csv", times, spectra,
+                      np.linalg.norm(spectra - target_spectrum, axis=1))
+    return rho_f
+
+
 def _run_hlp(built, out):
     system, rho0, target, hl = built["system"], built["initial"], built["target"], built["hlp"]
     plan = reach.plan_state_transfer(rho0, target,
@@ -336,7 +344,7 @@ def _run_hlp(built, out):
     if hl["execute"]:
         trotter = hl["trotter_steps"]
         schedule = reach.hlp_execute(plan, system, trotter_steps=trotter)
-        rho_f, times, spectra = propagate_schedule(system, schedule, rho0, record=True)
+        rho_f = _run_schedule(out, system, schedule, rho0, plan.target_spectrum)
         payload.update({
             "trotter_steps": trotter,
             "executed_residual": frobenius_error(vec(rho_f), vec(as_matrix(target))),
@@ -344,11 +352,6 @@ def _run_hlp(built, out):
             "predicted_executed_spectrum": [
                 float(v) for v in reach.predict_executed_spectrum(plan, system, trotter)],
         })
-        _write_segments(out / "sequence.csv", schedule)
-        # spectra carry segment-boundary rows; recompute distance rows cheaply
-        errs = [float(np.linalg.norm(np.sort(row)[::-1] - plan.target_spectrum))
-                for row in spectra]
-        _write_trajectory(out / "trajectory.csv", times, spectra, errs)
     _write_result(out / "result.json", payload)
     return EXIT_OK
 
@@ -366,11 +369,7 @@ def _run_protocol(built, out):
     else:
         report = protocols.erase_protocol_bitflip(n, gamma_star, coupling,
                                                   pr["noise_time"], charge)
-    rho_f, times, spectra = propagate_schedule(system, report.schedule, rho0, record=True)
-    errs = [frobenius_error(vec(np.diag(np.sort(row)[::-1]).astype(complex)),
-                            vec(as_matrix(target))) for row in spectra]
-    _write_trajectory(out / "trajectory.csv", times, spectra, errs)
-    _write_segments(out / "sequence.csv", report.schedule)
+    rho_f = _run_schedule(out, system, report.schedule, rho0, sorted_spectrum(target))
     _write_result(out / "result.json", {
         "mode": "protocol", "seed": built["seed"], "kind": kind,
         "formula_id": report.formula_id,

@@ -50,7 +50,7 @@ from .qops import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 __all__ = [
     "commutator_superop", "dissipator_superop", "pauli_basis",
     "liouvillians", "assemble_liouvillian",
-    "propagator", "expm_stack",
+    "propagator",
     "v_theta", "theta_generator", "theta_channel_exact",
     "ThetaChannelParams", "diag_channel_theta",
     "BathParams", "heat_bath_generator",
@@ -248,17 +248,7 @@ def propagator(ell: np.ndarray, dt: float) -> np.ndarray:
     """Slice propagator X = exp(-dt L), valid for non-normal L, in L's basis."""
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    return expm_stack(-dt * np.asarray(ell))
-
-
-def expm_stack(ells: np.ndarray) -> np.ndarray:
-    """exp() of a stack of exponents (..., m, m); Pade-13 with per-matrix scaling.
-
-    Real input gives a real result."""
-    try:
-        return _expm.expm(ells)
-    except ValueError as exc:
-        raise NumericalHealthError(str(exc)) from exc
+    return _expm.expm(-dt * np.asarray(ell))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +274,10 @@ def theta_channel_exact(theta: float, gamma_t: float) -> np.ndarray:
     the column-stacked (rho00, rho10, rho01, rho11).  Used as an analytic
     oracle against the generic matrix-exponential path.
     """
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must lie in [0, 1]")
+    if not gamma_t >= 0:
+        raise ValueError("gamma_t must be nonnegative")
     tb = 1.0 - theta
     c = 1.0 / (tb * tb + theta * theta)
     eps = np.exp(-gamma_t / c)
@@ -315,13 +309,10 @@ class ThetaChannelParams:
             raise ValueError("t must be nonnegative")
 
     @property
-    def c_theta(self) -> float:
-        tb = 1.0 - self.theta
-        return 1.0 / (tb * tb + self.theta * self.theta)
-
-    @property
     def eps_theta(self) -> float:
-        return float(np.exp(-self.gamma_star * self.t / self.c_theta))
+        tb = 1.0 - self.theta
+        c = 1.0 / (tb * tb + self.theta * self.theta)
+        return float(np.exp(-self.gamma_star * self.t / c))
 
 
 def diag_channel_theta(params: ThetaChannelParams, n: int) -> np.ndarray:
@@ -334,7 +325,7 @@ def diag_channel_theta(params: ThetaChannelParams, n: int) -> np.ndarray:
     """
     th = params.theta
     tb = 1.0 - th
-    c = params.c_theta
+    c = 1.0 / (tb * tb + th * th)
     eps = params.eps_theta
     block = c * np.array([
         [tb * tb + th * th * eps, tb * tb * (1 - eps)],
@@ -414,5 +405,5 @@ def trotter_decoupled_propagator(h02, gamma: float, t: float, k: int) -> np.ndar
     gam = gamma * dissipator_superop(np.kron(np.eye(n_rest), SIGMA_X / 2))
     h_hat = commutator_superop(coupling)
     h = t / (2 * k)
-    halves = expm_stack(np.array([-h * (gam + 1j * h_hat), -h * (gam - 1j * h_hat)]))
+    halves = _expm.expm(np.array([-h * (gam + 1j * h_hat), -h * (gam - 1j * h_hat)]))
     return np.linalg.matrix_power(halves[0] @ halves[1], k)

@@ -15,8 +15,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError
 from .lindblad import _generator_stack, v_theta
-from .qops import (DensityOperator, IDENTITY_2, SIGMA_MINUS, SIGMA_X, SIGMA_Y,
-                   SIGMA_Z, as_matrix, embed_local)
+from .qops import DensityOperator, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, embed_local
 
 __all__ = [
     "Control", "Noise", "ControlSystem",

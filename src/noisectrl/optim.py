@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
+from . import _expm
 from .exceptions import NumericalHealthError
-from .lindblad import expm_stack as _expm_stack, liouvillians, pauli_basis
+from .lindblad import liouvillians, pauli_basis
 from .qops import HERM_ATOL, as_matrix, unvec, vec
 
 __all__ = [
@@ -41,6 +42,9 @@ __all__ = [
     "propagate", "error", "gradient",
     "OptimizationResult", "optimize", "optimize_restarts", "random_sequence",
 ]
+
+# tolerance of propagate()'s Hermiticity, unit-trace and positivity check
+_HEALTH_ATOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,19 +111,10 @@ class Trajectory:
     states: np.ndarray              # (M+1, N^2) vectorized
     sorted_eigenvalues: np.ndarray  # (M+1, N) descending
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return unvec(self.states[-1])
-
 
 def _coordinates(system, rho) -> np.ndarray:
     """Real Pauli coordinates B^dag vec(rho) of a Hermitian state."""
     return (pauli_basis(system.n).conj().T @ vec(as_matrix(rho))).real
-
-
-def _directions(system):
-    """Generator derivatives dL/du_j = i H_hat(H_j), then dL/dgamma_l = Gamma_hat(V_l)."""
-    return system.pauli_generators[1:]
 
 
 def _check_sequence(problem, seq):
@@ -139,7 +134,7 @@ def _check_sequence(problem, seq):
 def _forward(problem, u, gamma):
     """Slice generators L, propagators X = exp(-dt L) and the forward states f."""
     ell = liouvillians(problem.system, u, gamma)
-    x = _expm_stack(-problem.dt * ell)
+    x = _expm.expm(-problem.dt * ell)
     f = np.empty((len(x) + 1, x.shape[-1]))
     f[0] = _coordinates(problem.system, problem.rho0)
     for k in range(len(x)):
@@ -147,8 +142,7 @@ def _forward(problem, u, gamma):
     return ell, x, f
 
 
-def propagate(problem: TransferProblem, seq: ControlSequence,
-              health_atol: float = 1e-6) -> Trajectory:
+def propagate(problem: TransferProblem, seq: ControlSequence) -> Trajectory:
     """Propagate slice by slice, recording every state and its spectrum."""
     _check_sequence(problem, seq)
     _, _, f = _forward(problem, seq.u, seq.gamma)
@@ -161,7 +155,7 @@ def propagate(problem: TransferProblem, seq: ControlSequence,
         herm = np.abs(rho - rho.conj().T).max()
         tr = np.trace(rho).real
         evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if herm > health_atol or abs(tr - 1.0) > health_atol or evals.min() < -health_atol:
+        if herm > _HEALTH_ATOL or abs(tr - 1.0) > _HEALTH_ATOL or evals.min() < -_HEALTH_ATOL:
             raise NumericalHealthError(
                 f"state at slice {k} violates density-operator invariants "
                 f"(herm {herm:.2e}, trace dev {abs(tr-1):.2e}, min eig {evals.min():.2e})")
@@ -179,7 +173,7 @@ def error(problem: TransferProblem, seq: ControlSequence) -> float:
     return float(np.linalg.norm(f[-1] - _coordinates(problem.system, problem.target)))
 
 
-def _error_and_gradient(problem, u, gamma, directions):
+def _error_and_gradient(problem, u, gamma):
     """delta_F^2 and its exact gradient, columns ordered controls then noises."""
     ell, x, f = _forward(problem, u, gamma)
     m, dim2 = x.shape[:2]
@@ -192,8 +186,9 @@ def _error_and_gradient(problem, u, gamma, directions):
     # Van Loan block: its upper-right corner is Q_k = L(A_k^T, b_k f_k^T)
     at = -problem.dt * ell.transpose(0, 2, 1)
     e = b[:, :, None] * f[:m, None, :]
-    q = _expm_stack(np.block([[at, e], [np.zeros_like(at), at]]))[:, :dim2, dim2:]
-    grad = -2.0 * problem.dt * np.einsum("kab,cab->kc", q, directions)
+    q = _expm.expm(np.block([[at, e], [np.zeros_like(at), at]]))[:, :dim2, dim2:]
+    grad = -2.0 * problem.dt * np.einsum("kab,cab->kc", q,
+                                          problem.system.pauli_generators[1:])
     return float(r @ r), grad
 
 
@@ -206,7 +201,7 @@ def gradient(problem: TransferProblem, seq: ControlSequence) -> np.ndarray:
     exponential (Van Loan), so there is no step size.
     """
     _check_sequence(problem, seq)
-    _, grad = _error_and_gradient(problem, seq.u, seq.gamma, _directions(problem.system))
+    _, grad = _error_and_gradient(problem, seq.u, seq.gamma)
     return grad
 
 
@@ -242,7 +237,6 @@ def optimize(problem: TransferProblem, init: ControlSequence,
     m = init.slice_count
     n_c = init.u.shape[1]
     n_g = init.gamma.shape[1]
-    directions = _directions(problem.system)
     bounds = [(None, None)] * (m * n_c)
     for g_max in problem.system.gamma_bounds:
         bounds.extend([(0.0, g_max)] * m)
@@ -260,7 +254,7 @@ def optimize(problem: TransferProblem, init: ControlSequence,
     def objective(xflat):
         u = xflat[:m * n_c].reshape(m, n_c)
         gamma = xflat[m * n_c:].reshape(n_g, m).T
-        e2, grad = _error_and_gradient(problem, u, gamma, directions)
+        e2, grad = _error_and_gradient(problem, u, gamma)
         if not np.isfinite(e2):
             raise NumericalHealthError("objective became non-finite")
         err = float(np.sqrt(e2))

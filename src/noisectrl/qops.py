@@ -34,6 +34,8 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 HERM_ATOL = 1e-12
 PSD_ATOL = 1e-12
 TRACE_ATOL = 1e-12
+# sorted_spectrum accepts propagated states, whose Hermiticity drifts by rounding
+_SPECTRUM_HERM_ATOL = 1e-10
 
 
 def as_matrix(op) -> np.ndarray:
@@ -128,10 +130,10 @@ def frobenius_error(a, b) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def sorted_spectrum(rho, herm_atol: float = 1e-10) -> np.ndarray:
+def sorted_spectrum(rho) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix in descending order."""
     m = as_matrix(rho)
-    if np.abs(m - m.conj().T).max() > herm_atol:
+    if np.abs(m - m.conj().T).max() > _SPECTRUM_HERM_ATOL:
         raise ValueError("input is not Hermitian")
     return np.linalg.eigvalsh(m)[::-1].copy()
 

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _SUM_ATOL = 1e-10
+_CLOSURE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +425,13 @@ def _pair_dynamics(energies, gamma_star: float, tau: float, nseg: int):
     factor mu = |M[:, 0]| by which its difference has then contracted."""
     h = tau / nseg
     omegas = energies[0::2] - energies[1::2]
-    thetas, mus = np.empty(len(omegas)), np.empty(len(omegas))
-    for i, omega in enumerate(omegas):
-        gen = np.array([[0.0, omega], [-omega, -gamma_star / 2.0]])
-        c, s = np.cos(omega * h / 2.0), np.sin(omega * h / 2.0)
-        half_kick = np.array([[c, -s], [s, c]])
-        m = np.linalg.matrix_power(half_kick @ np.real(_expm.expm(h * gen)) @ half_kick, nseg)
-        thetas[i] = np.arctan2(m[1, 0], m[0, 0])
-        mus[i] = np.hypot(m[0, 0], m[1, 0])
-    return thetas, mus
+    gen = np.zeros((len(omegas), 2, 2))
+    gen[:, 0, 1], gen[:, 1, 0], gen[:, 1, 1] = omegas, -omegas, -gamma_star / 2.0
+    hold = _expm.expm(h * gen)
+    c, s = np.cos(omegas * h / 2.0), np.sin(omegas * h / 2.0)
+    half_kick = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+    m = np.linalg.matrix_power(half_kick @ hold @ half_kick, nseg)
+    return np.arctan2(m[:, 1, 0], m[:, 0, 0]), np.hypot(m[:, 0, 0], m[:, 1, 0])
 
 
 def _noise_block_segments(system, noise_idx, energies, tau, trotter_steps):
@@ -508,16 +507,16 @@ def predict_executed_spectrum(plan: HlpPlan, system, trotter_steps: int = 64) ->
 # ---------------------------------------------------------------------------
 # Lie closure
 
-def lie_closure_dimension(generators, tol: float = 1e-10) -> int:
+def lie_closure_dimension(generators) -> int:
     """Dimension of the real Lie algebra generated by {i H} under commutators.
 
     The traceless parts of the generators are orthonormalized first, then
     each basis element b_i in turn is offered its brackets [g, b_i] with
     every orthonormalized generator g (two Gram-Schmidt passes in the
-    Hilbert-Schmidt inner product, threshold ``tol``).  The generators are
-    first divided by the largest entry among them, so the dimension does not
-    depend on the Hamiltonians' units; Hermiticity is checked relative to
-    each generator's largest entry.  Left-normed brackets
+    Hilbert-Schmidt inner product, threshold ``_CLOSURE_TOL``).  The
+    generators are first divided by the largest entry among them, so the
+    dimension does not depend on the Hamiltonians' units; Hermiticity is
+    checked relative to each generator's largest entry.  Left-normed brackets
     [g_1, [g_2, [..., g_k]]] span the generated algebra (D'Alessandro,
     *Introduction to Quantum Control and Dynamics*, ch. 3); the final span
     holds the generators and is closed under every ad_g, so by induction on
@@ -549,7 +548,7 @@ def lie_closure_dimension(generators, tol: float = 1e-10) -> int:
         for _ in range(2):
             v = v - flat[:size].T @ (flat[:size].conj() @ v)
         nrm = np.linalg.norm(v)
-        if nrm > tol:
+        if nrm > _CLOSURE_TOL:
             flat[size] = v / nrm
             size += 1
 

@@ -58,7 +58,7 @@ class Schedule:
 
     @property
     def noise_on_time(self) -> float:
-        """Total duration-weighted noise exposure sum_l int gamma_l dt / gamma_max."""
+        """Total duration of the holds in which any noise amplitude is nonzero."""
         total = 0.0
         for seg in self.segments:
             if isinstance(seg, HoldSegment) and np.any(seg.gamma > 0):

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisectrl import lindblad, models
+from noisectrl import cli, lindblad, models
 from noisectrl.cli import MODES, main, validate
 from noisectrl.exceptions import NumericalHealthError
+from noisectrl.optim import ControlSequence
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -231,6 +232,15 @@ class TestOtherModes:
         assert min(history) <= 1e-5
 
 
+def test_slice_table_holds_every_value_at_full_precision(tmp_path):
+    system = models.ising_chain(1)
+    seq = ControlSequence(0.1, [[-0.0, 1 / 3], [1e-300, -2.5e17]], [[0.1], [5.0]])
+    cli._write_slices(tmp_path / "s.csv", system, seq)
+    lines = (tmp_path / "s.csv").read_text().splitlines()
+    assert lines[1:] == ["0,0,-0,0.33333333333333331,0.10000000000000001",
+                         "1,0.10000000000000001,1e-300,-2.5e+17,5"]
+
+
 def test_controllability_never_builds_the_generator_stack(tmp_path, monkeypatch):
     def refuse(system):
         raise AssertionError("generator stack built")
@@ -248,6 +258,17 @@ def test_broken_generator_stack_exits_3(tmp_path, monkeypatch):
         models.ising_chain(2).pauli_generators
     path = write_config(tmp_path, base_simulate_config())
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 3
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_pair_dynamics_exits_3(tmp_path, capsys):
+    # a coupling of 1e308 overflows the drift, so the pair dynamics of the
+    # executed schedule see non-finite drift splittings
+    cfg = base_hlp_config()
+    cfg["system"]["coupling"] = 1e308
+    path = write_config(tmp_path, cfg)
+    assert main(["hlp", "--config", str(path), "--out", str(tmp_path / "x")]) == 3
+    assert "numerical failure: non-finite" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisectrl import _expm, lindblad
+from noisectrl import _expm, lindblad, reach
 from noisectrl.exceptions import NumericalHealthError
 from noisectrl.lindblad import (BathParams, ThetaChannelParams,
                                 assemble_liouvillian, commutator_superop,
@@ -11,7 +11,8 @@ from noisectrl.lindblad import (BathParams, ThetaChannelParams,
                                 theta_channel_exact, theta_generator,
                                 trotter_decoupled_propagator, v_theta)
 from noisectrl.lindblad import liouvillians
-from noisectrl.models import ControlSystem, ising_chain
+from noisectrl.models import ControlSystem, ising_chain, thermal_state, zero_state
+from noisectrl.optim import ControlSequence, TransferProblem, error
 from noisectrl.qops import (IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             embed_local, random_density, unvec, vec)
 
@@ -278,6 +279,28 @@ class TestExpm:
         for k, member in zip((0, 2), small):
             np.testing.assert_allclose(got[k], _expm.expm(member), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("exponent", [np.full((4, 4), np.nan),      # non-finite
+                                          np.array([[800.0]])])          # overflowing
+    def test_bad_exponent_raises_health_error(self, exponent):
+        with pytest.raises(NumericalHealthError):
+            _expm.expm(exponent)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_non_square_input_raises_value_error(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            _expm.expm(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: trotter_decoupled_propagator(np.diag([1.0, -1.0]), np.nan, 1.0, 2),
+    lambda: reach._pair_dynamics(np.array([np.inf, 0.0, 1.0, -1.0]), 5.0, 1.0, 4),
+    lambda: error(TransferProblem(ising_chain(1), zero_state(1), thermal_state(1), 1.0, 2),
+                  ControlSequence(0.5, np.full((2, 2), np.nan), np.zeros((2, 1)))),
+], ids=["trotter", "pair_dynamics", "optim"])
+def test_non_finite_exponent_is_a_numerical_failure(call):
+    with pytest.raises(NumericalHealthError, match="non-finite"):
+        call()
+
 
 class TestPropagator:
     def test_zero_time_is_identity(self):
@@ -343,6 +366,12 @@ class TestPropagator:
         bad = np.full((4, 4), np.nan, dtype=complex)
         with pytest.raises(NumericalHealthError):
             propagator(bad, 1.0)
+
+    @pytest.mark.parametrize("theta, gamma_t", [(2.0, 1.0), (-0.1, 1.0), (0.3, -1.0),
+                                                (np.nan, 1.0), (0.3, np.nan)])
+    def test_theta_channel_rejects_out_of_range_arguments(self, theta, gamma_t):
+        with pytest.raises(ValueError):
+            theta_channel_exact(theta, gamma_t)
 
 
 class TestDiagChannelTheta:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisectrl import _expm
+from noisectrl.exceptions import NumericalHealthError
 from noisectrl.lindblad import assemble_liouvillian, pauli_basis, propagator
 from noisectrl.models import ising_chain, thermal_state, zero_state
 from noisectrl.optim import (ControlSequence, TransferProblem, error, gradient,
@@ -64,6 +66,14 @@ class TestPropagate:
             assert np.abs(rho - rho.conj().T).max() < 1e-8
             assert abs(np.trace(rho).real - 1) < 1e-8
             assert np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() > -1e-8
+
+    def test_trace_losing_propagators_are_a_numerical_failure(self, monkeypatch):
+        system = ising_chain(2, gamma_star=5.0)
+        problem = TransferProblem(system, zero_state(2), thermal_state(2), 1.0, 4)
+        exact = _expm.expm
+        monkeypatch.setattr(_expm, "expm", lambda a: 0.999 * exact(a))
+        with pytest.raises(NumericalHealthError, match="slice 1 violates"):
+            propagate(problem, zero_sequence(problem))
 
     def test_rejects_gamma_outside_bounds(self):
         system = ising_chain(1, gamma_star=5.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from noisectrl import _expm, reach
 from noisectrl.exceptions import ConfigurationError, ReachabilityError
 from noisectrl.lindblad import ThetaChannelParams, diag_channel_theta
 from noisectrl.models import ising_chain, thermal_state
@@ -306,6 +307,21 @@ class TestHlpExecute:
         for compile_or_predict in (hlp_execute, predict_executed_spectrum):
             with pytest.raises(ValueError, match="Trotter count must be an integer"):
                 compile_or_predict(plan, system, trotter_steps=trotter)
+
+
+def test_stacked_pair_dynamics_equals_one_pair_at_a_time():
+    # reference: each pair's kicked 2x2 map exponentiated and powered alone
+    energies = np.random.default_rng(9).normal(size=8) * 3.0
+    gamma_star, tau, nseg = 5.0, 0.7, 16
+    h = tau / nseg
+    thetas, mus = reach._pair_dynamics(energies, gamma_star, tau, nseg)
+    for i, omega in enumerate(energies[0::2] - energies[1::2]):
+        gen = np.array([[0.0, omega], [-omega, -gamma_star / 2.0]])
+        c, s = np.cos(omega * h / 2.0), np.sin(omega * h / 2.0)
+        kick = np.array([[c, -s], [s, c]])
+        m = np.linalg.matrix_power(kick @ _expm.expm(h * gen) @ kick, nseg)
+        assert thetas[i] == np.arctan2(m[1, 0], m[0, 0])
+        assert mus[i] == np.hypot(m[0, 0], m[1, 0])
 
 
 PAIRS4 = [(j, k) for j in range(4) for k in range(j + 1, 4)]
