@@ -95,6 +95,8 @@ def load(config, mode: str | None = None, seed: int | None = None):
     Returns ``(built, diagnostics)``; ``built`` is what the mode's runner takes,
     complete only without diagnostics.  ``seed`` overrides the config's.  A
     section whose inputs already failed is skipped, so each fault is reported once.
+    A system whose operators come out non-finite raises
+    :class:`NumericalHealthError` instead of a diagnostic.
     """
     if not isinstance(config, dict):
         return {}, ["config root must be a JSON object"]
@@ -435,20 +437,20 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     mode = None if args.command == "validate" else args.command
-    built, diags = load(config, mode, args.seed)
-    if args.command == "validate":
-        for d in diags:
-            print(d)
-        return EXIT_OK if not diags else EXIT_CONFIG
-    if diags:
-        for d in diags:
-            print(f"config error: {d}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out = args.out if args.out is not None else built["out"]
-    out.mkdir(parents=True, exist_ok=True)
-
     try:
+        # building a system can already fail numerically (a non-finite drift)
+        built, diags = load(config, mode, args.seed)
+        if args.command == "validate":
+            for d in diags:
+                print(d)
+            return EXIT_OK if not diags else EXIT_CONFIG
+        if diags:
+            for d in diags:
+                print(f"config error: {d}", file=sys.stderr)
+            return EXIT_CONFIG
+
+        out = args.out if args.out is not None else built["out"]
+        out.mkdir(parents=True, exist_ok=True)
         return _RUNNERS[args.command](built, out)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, NumericalHealthError
 from .lindblad import _generator_stack, v_theta
 from .qops import DensityOperator, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, embed_local
 
@@ -55,25 +55,30 @@ class ControlSystem:
 
     def __post_init__(self):
         dim = 2 ** self.n
-        h0 = np.asarray(self.h0, dtype=complex)
-        if h0.shape != (dim, dim):
-            raise ConfigurationError(f"drift has shape {h0.shape}, expected {(dim, dim)}")
+
+        def check(what, op):
+            m = as_matrix(op)
+            if m.shape != (dim, dim):
+                raise ConfigurationError(f"{what} has shape {m.shape}, expected {(dim, dim)}")
+            # before any tolerance check: NaN > tol is False, so NaN would pass it
+            if not np.all(np.isfinite(m)):
+                raise NumericalHealthError(f"non-finite entries in {what}")
+            return m
+
+        h0 = check("drift", self.h0)
         if np.abs(h0 - h0.conj().T).max() > 1e-12:
             raise ConfigurationError("drift is not Hermitian")
         for c in self.controls:
-            if as_matrix(c.operator).shape != (dim, dim):
-                raise ConfigurationError(f"control '{c.label}' has wrong dimension")
-            if np.abs(c.operator - np.conj(c.operator).T).max() > 1e-12:
+            m = check(f"control '{c.label}'", c.operator)
+            if np.abs(m - m.conj().T).max() > 1e-12:
                 raise ConfigurationError(f"control '{c.label}' is not Hermitian")
         for noise in self.noises:
-            if as_matrix(noise.operator).shape != (dim, dim):
-                raise ConfigurationError(f"noise '{noise.label}' has wrong dimension")
-            if noise.gamma_max <= 0:
+            check(f"noise '{noise.label}'", noise.operator)
+            if not noise.gamma_max > 0:
                 raise ConfigurationError(f"noise '{noise.label}' needs gamma_max > 0")
         for op, rate in self.background_noises:
-            if as_matrix(op).shape != (dim, dim):
-                raise ConfigurationError("background noise operator has wrong dimension")
-            if rate < 0:
+            check("background noise operator", op)
+            if not rate >= 0:
                 raise ConfigurationError("background noise rate must be nonnegative")
 
     @property

@@ -17,12 +17,13 @@ states back to column-stacked vec(rho) for ``Trajectory.states``.
 The gradient is exact: with forward states f_k and backward vectors b_k,
 the derivative of delta_F^2 along a generator direction D of slice k is
 2 <Q_k, -dt D>, where Q_k = L(A_k^T, b_k f_k^T) is the Frechet derivative
-of the exponential.  Van Loan's identity gives Q_k as the upper-right
-block of exp([[A_k^T, b_k f_k^T], [0, A_k^T]]), so one Pade stack of M
-doubled matrices serves every direction; the L_k are non-normal, so no
-eigendecomposition is used.  Box constraints (noise amplitudes in
-[0, gamma_max], coherent amplitudes free) are handled by a projected
-limited-memory quasi-Newton iteration (scipy's L-BFGS-B).
+of the exponential.  One batched call of ``_expm.expm_frechet`` computes
+all M of them at the slice size, from the Pade-13 powers of the scaled
+A_k^T and their derivatives (Al-Mohy & Higham 2009, Alg. 6.4), so it
+serves every direction; the L_k are non-normal, so no eigendecomposition
+is used.  Box constraints (noise amplitudes in [0, gamma_max], coherent
+amplitudes free) are handled by a projected limited-memory quasi-Newton
+iteration (scipy's L-BFGS-B).
 """
 
 from __future__ import annotations
@@ -183,10 +184,9 @@ def _error_and_gradient(problem, u, gamma):
     for k in range(m - 1, 0, -1):
         b[k - 1] = x[k].T @ b[k]
 
-    # Van Loan block: its upper-right corner is Q_k = L(A_k^T, b_k f_k^T)
+    # Q_k = L(A_k^T, b_k f_k^T), the Frechet derivative of exp at A_k^T
     at = -problem.dt * ell.transpose(0, 2, 1)
-    e = b[:, :, None] * f[:m, None, :]
-    q = _expm.expm(np.block([[at, e], [np.zeros_like(at), at]]))[:, :dim2, dim2:]
+    q = _expm.expm_frechet(at, b[:, :, None] * f[:m, None, :])[1]
     grad = -2.0 * problem.dt * np.einsum("kab,cab->kc", q,
                                           problem.system.pauli_generators[1:])
     return float(r @ r), grad
@@ -197,8 +197,8 @@ def gradient(problem: TransferProblem, seq: ControlSequence) -> np.ndarray:
 
     Columns are ordered as the system's controls followed by its noise
     channels.  Each slice's propagator derivative is the Frechet derivative
-    of the exponential, read off the upper-right block of one doubled Pade
-    exponential (Van Loan), so there is no step size.
+    of the exponential, computed with the Pade exponential itself (one
+    batched ``_expm.expm_frechet`` call), so there is no step size.
     """
     _check_sequence(problem, seq)
     _, grad = _error_and_gradient(problem, seq.u, seq.gamma)

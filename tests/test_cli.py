@@ -271,6 +271,17 @@ def test_non_finite_pair_dynamics_exits_3(tmp_path, capsys):
     assert "numerical failure: non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command", ["validate", "optimize"])
+def test_non_finite_drift_exits_3_before_running(tmp_path, capsys, command):
+    cfg = base_optimize_config()
+    cfg["system"].update(n=2, coupling=1e308)
+    path = write_config(tmp_path, cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 3
+    assert "numerical failure: non-finite entries in drift" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_numerical_failure_exit_code(tmp_path):
     cfg = base_simulate_config()
     cfg["sequence"] = {"u": [[1e300] * 4] * 4, "gamma": [[0.0]] * 4}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from noisectrl import _expm, lindblad, reach
 from noisectrl.exceptions import NumericalHealthError
@@ -243,10 +244,11 @@ class TestPauliStack:
             ising_chain(2, noise_kind="amp").pauli_generators
 
     def test_non_finite_drift_raises(self):
+        # the system itself rejects the drift, before any generator is built
         sys1 = ising_chain(1)
-        bad = ControlSystem(n=1, h0=np.full((2, 2), np.nan), controls=sys1.controls,
-                            noises=sys1.noises)
         with pytest.raises(NumericalHealthError):
+            bad = ControlSystem(n=1, h0=np.full((2, 2), np.nan), controls=sys1.controls,
+                                noises=sys1.noises)
             liouvillians(bad, np.zeros((1, 2)), np.zeros((1, 1)))
 
     def test_liouvillians_reject_misshaped_amplitudes(self):
@@ -289,6 +291,59 @@ class TestExpm:
     def test_non_square_input_raises_value_error(self, shape):
         with pytest.raises(ValueError, match="square"):
             _expm.expm(np.zeros(shape))
+
+    def test_frechet_direction_must_match_the_exponent(self):
+        with pytest.raises(ValueError, match="does not match"):
+            _expm.expm_frechet(np.zeros((2, 3, 3)), np.zeros((3, 3)))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           log_norms=st.lists(st.floats(-3.0, np.log10(2e3)), min_size=1, max_size=10))
+    @example(seed=0, log_norms=[-3.0] + [np.log10(_expm._THETA13 * 2 ** (s - 0.5))
+                                         for s in range(1, 10)])
+    def test_frechet_matches_scipy_per_member(self, seed, log_norms):
+        # 1-norms from 1e-3 to 2e3 mix scaling exponents 0 to 9 in one stack
+        system = ising_chain(2, dephasing=0.3)
+        rng = np.random.default_rng(seed)
+        k = len(log_norms)
+        ell = liouvillians(system, rng.standard_normal((k, 4)), rng.uniform(0.0, 5.0, (k, 1)))
+        norm1 = np.abs(ell).sum(axis=-2).max(axis=-1)
+        a = -(10.0 ** np.array(log_norms) / norm1)[:, None, None] * ell
+        e = rng.standard_normal(a.shape)
+        r, l = _expm.expm_frechet(a, e)
+        assert r.dtype == l.dtype == np.float64
+        for j in range(k):
+            ref_r, ref_l = scipy.linalg.expm_frechet(a[j], e[j])
+            # scipy scales to 1-norm 4.74 rather than 5.37; near 1-norm 2e3 the
+            # two then differ by up to 2.8e-13, mostly on scipy's side against
+            # a 40-digit reference, so the bound grows as 4 ||a||_1 u there
+            rtol = max(1e-13, 2 * 10.0 ** log_norms[j] * np.finfo(float).eps)
+            for got, ref in ((r[j], ref_r), (l[j], ref_l), (r[j], _expm.expm(a[j]))):
+                assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+    def test_stack_larger_than_a_chunk_equals_one_member_at_a_time(self, monkeypatch):
+        system = ising_chain(2)
+        rng = np.random.default_rng(8)
+        scale = 10.0 ** rng.uniform(-1.0, 2.0, 7)
+        a = -scale[:, None, None] * liouvillians(system, rng.standard_normal((7, 4)),
+                                                 rng.uniform(0.0, 5.0, (7, 1)))
+        e = rng.standard_normal(a.shape)
+        monkeypatch.setattr(_expm, "_CHUNK_BYTES", 3 * a[0].nbytes)   # chunks of 3
+        r, l = _expm.expm_frechet(a, e)
+        for j in range(len(a)):
+            rj, lj = _expm.expm_frechet(a[j], e[j])
+            np.testing.assert_array_equal(r[j], rj)
+            np.testing.assert_array_equal(l[j], lj)
+
+    @pytest.mark.parametrize("a, e", [
+        (np.full((4, 4), np.nan), np.zeros((4, 4))),
+        (np.zeros((4, 4)), np.full((4, 4), np.nan)),
+        (np.array([[800.0]]), np.array([[1.0]])),
+        (np.array([[700.0]]), np.array([[1e10]])),
+    ], ids=["nan-exponent", "nan-direction", "overflowing-exp", "overflowing-derivative"])
+    def test_frechet_bad_input_raises_health_error(self, a, e):
+        with pytest.raises(NumericalHealthError):
+            _expm.expm_frechet(a, e)
 
 
 @pytest.mark.parametrize("call", [

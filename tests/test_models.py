@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from noisectrl.exceptions import ConfigurationError, NumericalHealthError
 from noisectrl.lindblad import assemble_liouvillian, pauli_basis, propagator
-from noisectrl.models import (ghz_state, ion_trap_model, ising_chain,
-                              thermal_state, zero_state)
+from noisectrl.models import (Control, ControlSystem, Noise, ghz_state, ion_trap_model,
+                              ising_chain, thermal_state, zero_state)
 from noisectrl.qops import unvec, vec
 from noisectrl.reach import lie_closure_dimension
 
@@ -55,6 +56,34 @@ class TestIsingChain:
             out = unvec(x @ vec(rho))
             off = out - np.diag(np.diag(out))
             assert np.abs(off).max() < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_overflowing_coupling_is_rejected_when_the_chain_is_built():
+    # pi * 1e308 overflows, and inf times the zero entries of a ZZ product
+    # is NaN, which a Hermiticity tolerance test lets through
+    with pytest.raises(NumericalHealthError, match="non-finite entries in drift"):
+        ising_chain(3, coupling=1e308)
+
+
+@pytest.mark.parametrize("part", ["control", "noise", "background"])
+def test_non_finite_operators_are_rejected(part):
+    bad = np.array([[0.0, np.nan], [np.nan, 0.0]], dtype=complex)
+    ok = np.diag([0.5, -0.5]).astype(complex)
+    with pytest.raises(NumericalHealthError, match="non-finite"):
+        ControlSystem(
+            n=1, h0=np.zeros((2, 2)),
+            controls=(Control("x", bad if part == "control" else ok),),
+            noises=(Noise("v", bad if part == "noise" else ok, 1.0),),
+            background_noises=((bad if part == "background" else ok, 0.1),))
+
+
+@pytest.mark.parametrize("gamma_max, rate", [(np.nan, 0.1), (1.0, np.nan)])
+def test_nan_rates_are_rejected(gamma_max, rate):
+    op = np.diag([0.5, -0.5]).astype(complex)
+    with pytest.raises(ConfigurationError):
+        ControlSystem(n=1, h0=np.zeros((2, 2)), controls=(),
+                      noises=(Noise("v", op, gamma_max),), background_noises=((op, rate),))
 
 
 class TestIonTrap:
