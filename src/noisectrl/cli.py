@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import models, optim, protocols, reach
-from .exceptions import ConfigurationError, NumericalHealthError, ReachabilityError
+from .exceptions import ConfigurationError, NumericalHealthError, ReachabilityError, check
 from .qops import (SIGMA_MINUS, SIGMA_X, DensityOperator, as_matrix, frobenius_error,
                    random_density, sorted_spectrum, vec)
 from .schedule import HoldSegment, Schedule, propagate_schedule
@@ -44,12 +44,6 @@ EXIT_REACHABILITY = 4
 # config loading: each section is read, checked and built once, here
 
 _REQUIRED = object()
-_KINDS = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string",
-          list: "an array"}
-# (test, wording) rules for _get
-_POSITIVE = (lambda v: v > 0, "positive")
-_NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
-_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
 _STATES = {"thermal": models.thermal_state, "zero": models.zero_state,
            "ghz": models.ghz_state, "random": random_density}
 # each protocol's noise kind and its local operator, switchable on the last qubit
@@ -61,13 +55,6 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _is(value, kind) -> bool:
-    """JSON type test: booleans are not numbers, and numbers are finite."""
-    if kind is float:
-        return type(value) in (int, float) and math.isfinite(value)
-    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
-
-
 def _get(sec: dict, key: str, kind, default=_REQUIRED, rule=None):
     """``sec[key]`` of type ``kind`` obeying ``rule``, or a ValueError naming the key."""
     value = sec.get(key, default)
@@ -75,11 +62,7 @@ def _get(sec: dict, key: str, kind, default=_REQUIRED, rule=None):
         raise ValueError(f"{key} is required")
     if value is None and default is None:
         return None
-    if not _is(value, kind):
-        raise ValueError(f"{key} must be {_KINDS[kind]}")
-    if rule is not None and not rule[0](value):
-        raise ValueError(f"{key} must be {rule[1]}")
-    return float(value) if kind is float else value
+    return check(key, value, kind, rule)
 
 
 def _section(config: dict, name: str, required: bool = True) -> dict:
@@ -118,7 +101,9 @@ def load(config, mode: str | None = None, seed: int | None = None):
     if mode is None:
         diags.append("mode: missing, and no mode subcommand was given")
     seed = config.get("seed", 0) if seed is None else seed
-    if not (_is(seed, int) and seed >= 0):
+    try:
+        check("seed", seed, int, "nonnegative")
+    except ValueError:
         diags.append("seed: must be a nonnegative integer")
         seed = 0    # so that the sections drawing from the seed are still checked
     if not isinstance(config.get("out", "."), str):
@@ -130,8 +115,8 @@ def load(config, mode: str | None = None, seed: int | None = None):
         with section("system"):
             sec = _section(config, "system")
             model = _get(sec, "model", str)
-            gamma_star = _get(sec, "gamma_star", float, 5.0, _POSITIVE)
-            coupling = _get(sec, "coupling", float, 1.0, _POSITIVE)
+            gamma_star = _get(sec, "gamma_star", float, 5.0, "positive")
+            coupling = _get(sec, "coupling", float, 1.0, "positive")
             noise = sec.get("noise", "amp")
             if isinstance(noise, dict):
                 noise = _get(noise, "theta", float)
@@ -143,7 +128,7 @@ def load(config, mode: str | None = None, seed: int | None = None):
                 system = models.ising_chain(
                     n=_get(sec, "n", int), coupling=coupling, noise_kind=noise,
                     noisy_site=_get(sec, "noisy_site", int, None), gamma_star=gamma_star,
-                    dephasing=_get(sec, "dephasing", float, None, _NONNEGATIVE))
+                    dephasing=_get(sec, "dephasing", float, None, "nonnegative"))
             else:
                 raise ValueError(f"unknown model {model!r}")
 
@@ -163,8 +148,8 @@ def load(config, mode: str | None = None, seed: int | None = None):
             elif system is None and mode != "majorize" and "n" not in sec:
                 continue    # no system to size the state with; its fault is reported
             else:
-                n = _get(sec, "n", int, _REQUIRED if system is None else system.n, _AT_LEAST_1)
-                seed_arg = [_get(sec, "seed", int, rule=_NONNEGATIVE)] if name == "random" else []
+                n = _get(sec, "n", int, _REQUIRED if system is None else system.n, 1)
+                seed_arg = [_get(sec, "seed", int, rule="nonnegative")] if name == "random" else []
                 state = _STATES[name](n, *seed_arg)
             dim = (system or built.get("initial", state)).dim
             if state.dim != dim:
@@ -175,8 +160,8 @@ def load(config, mode: str | None = None, seed: int | None = None):
     if mode in ("simulate", "optimize"):
         with section("horizon"):
             sec = _section(config, "horizon")
-            total_time = _get(sec, "T", float, rule=_POSITIVE)
-            slices = _get(sec, "slices", int, rule=_AT_LEAST_1)
+            total_time = _get(sec, "T", float, rule="positive")
+            slices = _get(sec, "slices", int, rule=1)
             if system is not None and "initial" in built and "target" in built:
                 built["problem"] = optim.TransferProblem(system, built["initial"],
                                                          built["target"], total_time, slices)
@@ -194,10 +179,10 @@ def load(config, mode: str | None = None, seed: int | None = None):
                 gamma = np.tile(system.gamma_bounds, (slices, 1)) * (style == "full_noise")
                 seq = optim.ControlSequence(problem.dt, u, gamma)
             elif style in ("uniform_random", "noise_blocks"):
-                u_scale = _get(sec, "u_scale", float, 1.0, _NONNEGATIVE)
+                u_scale = _get(sec, "u_scale", float, 1.0, "nonnegative")
                 blocks = None
                 if style == "noise_blocks":
-                    blocks = _get(sec, "blocks", int, 3, _AT_LEAST_1)
+                    blocks = _get(sec, "blocks", int, 3, 1)
                 seq = optim.random_sequence(problem, seed, noise_blocks=blocks, u_scale=u_scale)
             else:
                 raise ValueError(f"unknown style {style!r}")
@@ -208,17 +193,17 @@ def load(config, mode: str | None = None, seed: int | None = None):
         with section("optimizer"):
             sec = _section(config, "optimizer", required=False)
             built["optimizer"] = dict(
-                restarts=_get(sec, "restarts", int, 9, _AT_LEAST_1), seed=seed,
-                noise_blocks=_get(sec, "noise_blocks", int, None, _AT_LEAST_1),
-                u_scale=_get(sec, "u_scale", float, 1.0, _NONNEGATIVE),
-                max_iters=_get(sec, "max_iters", int, 500, _AT_LEAST_1),
-                tol=_get(sec, "tol", float, 1e-6, _NONNEGATIVE))
+                restarts=_get(sec, "restarts", int, 9, 1), seed=seed,
+                noise_blocks=_get(sec, "noise_blocks", int, None, 1),
+                u_scale=_get(sec, "u_scale", float, 1.0, "nonnegative"),
+                max_iters=_get(sec, "max_iters", int, 500, 1),
+                tol=_get(sec, "tol", float, 1e-6, "nonnegative"))
 
     if mode == "hlp":
         with section("hlp"):
             sec = _section(config, "hlp", required=False)
-            hl = dict(residual_target=_get(sec, "residual_target", float, 1e-4, _POSITIVE),
-                      trotter_steps=_get(sec, "trotter_steps", int, 64, _AT_LEAST_1),
+            hl = dict(residual_target=_get(sec, "residual_target", float, 1e-4, "positive"),
+                      trotter_steps=_get(sec, "trotter_steps", int, 64, 1),
                       execute=_get(sec, "execute", bool, True))
             # the executed schedule averages pairs by switching bit flip on the last qubit
             if hl["execute"] and system is not None and reach._terminal_noise(system) is None:
@@ -238,7 +223,7 @@ def load(config, mode: str | None = None, seed: int | None = None):
                 raise ValueError(f"{kind!r} needs {noise} noise on the last qubit, "
                                  f"system has {system.noises[0].label!r}")
             noise_time = _get(sec, "noise_time", float,
-                              None if kind == "erase_amp" else _REQUIRED, _NONNEGATIVE)
+                              None if kind == "erase_amp" else _REQUIRED, "nonnegative")
             built["protocol"] = dict(kind=kind, coupling=coupling, noise_time=noise_time,
                                      charge_swap_time=_get(sec, "charge_swap_time", bool, True))
     built["system"] = system
@@ -339,7 +324,8 @@ def _run_hlp(built, out):
         "mode": "hlp", "seed": built["seed"],
         "total_dissipative_time": plan.total_dissipative_time,
         "predicted_residual": plan.predicted_residual,
-        "steps": json.loads(plan.to_json())["steps"],
+        "steps": [{"pair": list(s.pair), "lambda": s.lam, "tau": s.tau, "eps": s.eps,
+                   "pre_permutation": list(s.pre_permutation)} for s in plan.steps],
         "initial_spectrum": [float(v) for v in plan.initial_spectrum],
         "target_spectrum": [float(v) for v in plan.target_spectrum],
     }

@@ -44,7 +44,7 @@ from typing import Literal
 import numpy as np
 
 from . import _expm
-from .exceptions import NumericalHealthError
+from .exceptions import NumericalHealthError, check
 from .qops import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix
 
 __all__ = [
@@ -135,9 +135,7 @@ def pauli_basis(n: int) -> np.ndarray:
     ``rho`` and ``B^dag S B`` the Pauli-basis form of a superoperator ``S``
     on ``vec(rho)``; the returned array is shared and read-only.
     """
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    return _pauli_tables(n)[0]
+    return _pauli_tables(check("n", n, int, 1))[0]
 
 
 def _operators(terms, dim: int) -> np.ndarray:
@@ -246,8 +244,7 @@ def assemble_liouvillian(system, u, gamma) -> np.ndarray:
 
 def propagator(ell: np.ndarray, dt: float) -> np.ndarray:
     """Slice propagator X = exp(-dt L), valid for non-normal L, in L's basis."""
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
+    check("dt", dt, rule="nonnegative")
     return _expm.expm(-dt * np.asarray(ell))
 
 
@@ -257,8 +254,7 @@ def propagator(ell: np.ndarray, dt: float) -> np.ndarray:
 def v_theta(theta: float) -> np.ndarray:
     """Interpolating Lindblad generator: amplitude damping at theta=0,
     bit flip (sigma_x/2) at theta=1/2."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
+    theta = check("theta", theta, rule=(0, 1))
     return np.array([[0.0, 1.0 - theta], [theta, 0.0]], dtype=complex)
 
 
@@ -274,10 +270,8 @@ def theta_channel_exact(theta: float, gamma_t: float) -> np.ndarray:
     the column-stacked (rho00, rho10, rho01, rho11).  Used as an analytic
     oracle against the generic matrix-exponential path.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    if not gamma_t >= 0:
-        raise ValueError("gamma_t must be nonnegative")
+    check("theta", theta, rule=(0, 1))
+    check("gamma_t", gamma_t, rule="nonnegative")
     tb = 1.0 - theta
     c = 1.0 / (tb * tb + theta * theta)
     eps = np.exp(-gamma_t / c)
@@ -301,12 +295,9 @@ class ThetaChannelParams:
     t: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
-        if self.gamma_star <= 0:
-            raise ValueError("gamma_star must be positive")
-        if self.t < 0:
-            raise ValueError("t must be nonnegative")
+        check("theta", self.theta, rule=(0, 1))
+        check("gamma_star", self.gamma_star, rule="positive")
+        check("t", self.t, rule="nonnegative")
 
     @property
     def eps_theta(self) -> float:
@@ -323,6 +314,7 @@ def diag_channel_theta(params: ThetaChannelParams, n: int) -> np.ndarray:
     the amplitude-damping block (column stochastic), theta=1/2 the
     bit-flip averaging block (doubly stochastic).
     """
+    check("n", n, int, 1)
     th = params.theta
     tb = 1.0 - th
     c = 1.0 / (tb * tb + th * th)
@@ -349,12 +341,10 @@ class BathParams:
     def __post_init__(self):
         if self.statistics not in ("bosonic", "fermionic"):
             raise ValueError("statistics must be 'bosonic' or 'fermionic'")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
-        if self.omega0 <= 0:
-            raise ValueError("omega0 must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if self.beta != np.inf:     # infinite beta is zero temperature
+            check("beta", self.beta, rule="nonnegative")
+        check("omega0", self.omega0, rule="positive")
+        check("gamma", self.gamma, rule="positive")
 
     def occupation(self) -> float:
         """Planck / Fermi occupation n(omega0) = 1/(exp(beta omega0) -/+ 1)."""
@@ -397,8 +387,8 @@ def trotter_decoupled_propagator(h02, gamma: float, t: float, k: int) -> np.ndar
     Converges to the bare bit-flip propagator as k grows, at first order
     (the error halves when k doubles).
     """
-    if k < 1:
-        raise ValueError("need at least one Trotter cycle")
+    check("t", t, rule="nonnegative")   # a non-finite gamma fails in the exponential
+    check("k", k, int, 1)
     m = as_matrix(h02)
     n_rest = m.shape[0]
     coupling = np.kron(m, np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import ConfigurationError, NumericalHealthError
+from .exceptions import ConfigurationError, NumericalHealthError, check
 from .lindblad import _generator_stack, v_theta
 from .qops import DensityOperator, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, embed_local
 
@@ -54,9 +54,9 @@ class ControlSystem:
     background_noises: tuple[tuple[np.ndarray, float], ...] = field(default=())
 
     def __post_init__(self):
-        dim = 2 ** self.n
+        dim = 2 ** check("n", self.n, int, 1)
 
-        def check(what, op):
+        def finite_operator(what, op):
             m = as_matrix(op)
             if m.shape != (dim, dim):
                 raise ConfigurationError(f"{what} has shape {m.shape}, expected {(dim, dim)}")
@@ -65,19 +65,19 @@ class ControlSystem:
                 raise NumericalHealthError(f"non-finite entries in {what}")
             return m
 
-        h0 = check("drift", self.h0)
+        h0 = finite_operator("drift", self.h0)
         if np.abs(h0 - h0.conj().T).max() > 1e-12:
             raise ConfigurationError("drift is not Hermitian")
         for c in self.controls:
-            m = check(f"control '{c.label}'", c.operator)
+            m = finite_operator(f"control '{c.label}'", c.operator)
             if np.abs(m - m.conj().T).max() > 1e-12:
                 raise ConfigurationError(f"control '{c.label}' is not Hermitian")
         for noise in self.noises:
-            check(f"noise '{noise.label}'", noise.operator)
+            finite_operator(f"noise '{noise.label}'", noise.operator)
             if not noise.gamma_max > 0:
                 raise ConfigurationError(f"noise '{noise.label}' needs gamma_max > 0")
         for op, rate in self.background_noises:
-            check("background noise operator", op)
+            finite_operator("background noise operator", op)
             if not rate >= 0:
                 raise ConfigurationError("background noise rate must be nonnegative")
 
@@ -125,14 +125,10 @@ def ising_chain(n: int, coupling: float = 1.0, noise_kind="amp",
     last qubit.  ``dephasing`` adds a constant sigma_z/2 background channel
     on every qubit at the given rate.
     """
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    if noisy_site is None:
-        noisy_site = n
-    if not 1 <= noisy_site <= n:
-        raise ValueError(f"noisy site {noisy_site} out of range")
-    if gamma_star <= 0:
-        raise ValueError("gamma_star must be positive")
+    check("n", n, int, 1)
+    check("coupling", coupling)
+    noisy_site = n if noisy_site is None else check("noisy_site", noisy_site, int, (1, n))
+    check("gamma_star", gamma_star, rule="positive")
 
     controls = []
     for q in range(1, n + 1):
@@ -147,12 +143,12 @@ def ising_chain(n: int, coupling: float = 1.0, noise_kind="amp",
         else:
             raise ValueError(f"unknown noise kind {noise_kind!r}")
     else:
-        local, kind = v_theta(float(noise_kind)), "theta"
+        local, kind = v_theta(noise_kind), "theta"
     noise = Noise(f"{kind}{noisy_site}", embed_local(local, noisy_site, n),
                   gamma_star, kind)
 
     background = ()
-    if dephasing is not None and dephasing > 0:
+    if dephasing is not None and check("dephasing", dephasing, rule="nonnegative") > 0:
         background = tuple((embed_local(SIGMA_Z / 2, q, n), float(dephasing))
                            for q in range(1, n + 1))
 
@@ -168,6 +164,7 @@ def ion_trap_model(gamma_star: float = 5.0) -> ControlSystem:
     The drift is taken as zero (control amplitudes are expressed relative
     to the interaction strength; no separate free Hamiltonian is modelled).
     """
+    check("gamma_star", gamma_star, rule="positive")
     n = 4
     fx = 0.5 * sum(embed_local(SIGMA_X, q, n) for q in range(1, n + 1))
     fy = 0.5 * sum(embed_local(SIGMA_Y, q, n) for q in range(1, n + 1))
@@ -181,9 +178,7 @@ def ion_trap_model(gamma_star: float = 5.0) -> ControlSystem:
 
 def ghz_state(n: int) -> DensityOperator:
     """|GHZ_n><GHZ_n| with |GHZ_n> = (|0...0> + |1...1>)/sqrt(2)."""
-    if n < 2:
-        raise ValueError("GHZ state needs at least two qubits")
-    dim = 2 ** n
+    dim = 2 ** check("n", n, int, 2)
     psi = np.zeros(dim, dtype=complex)
     psi[0] = psi[-1] = 1.0 / np.sqrt(2)
     return DensityOperator(np.outer(psi, psi.conj()))
@@ -191,13 +186,13 @@ def ghz_state(n: int) -> DensityOperator:
 
 def thermal_state(n: int) -> DensityOperator:
     """Maximally mixed state 1/2^n."""
-    dim = 2 ** n
+    dim = 2 ** check("n", n, int, 1)
     return DensityOperator(np.eye(dim, dtype=complex) / dim)
 
 
 def zero_state(n: int) -> DensityOperator:
     """|0...0><0...0|."""
-    dim = 2 ** n
+    dim = 2 ** check("n", n, int, 1)
     m = np.zeros((dim, dim), dtype=complex)
     m[0, 0] = 1.0
     return DensityOperator(m)

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.optimize
 
 from . import _expm
-from .exceptions import NumericalHealthError
+from .exceptions import NumericalHealthError, check
 from .lindblad import liouvillians, pauli_basis
 from .qops import HERM_ATOL, as_matrix, unvec, vec
 
@@ -59,8 +59,7 @@ class ControlSequence:
     def __post_init__(self):
         u = np.atleast_2d(np.asarray(self.u, dtype=float))
         g = np.atleast_2d(np.asarray(self.gamma, dtype=float))
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        check("dt", self.dt, rule="positive")
         if u.shape[0] != g.shape[0] or u.shape[0] < 1:
             raise ValueError("u and gamma must agree on the number of slices")
         object.__setattr__(self, "u", u)
@@ -76,6 +75,7 @@ class ControlSequence:
 
     def refine(self, factor: int = 2) -> "ControlSequence":
         """Split every slice into `factor` identical shorter slices."""
+        check("factor", factor, int, 1)
         return ControlSequence(dt=self.dt / factor,
                                u=np.repeat(self.u, factor, axis=0),
                                gamma=np.repeat(self.gamma, factor, axis=0))
@@ -90,10 +90,8 @@ class TransferProblem:
     slices: int
 
     def __post_init__(self):
-        if self.slices < 1:
-            raise ValueError("need at least one slice")
-        if self.total_time <= 0:
-            raise ValueError("total time must be positive")
+        check("slices", self.slices, int, 1)
+        check("total_time", self.total_time, rule="positive")
         dim = self.system.dim
         for rho in (as_matrix(self.rho0), as_matrix(self.target)):
             if rho.shape != (dim, dim):
@@ -234,6 +232,8 @@ def optimize(problem: TransferProblem, init: ControlSequence,
     seen.
     """
     _check_sequence(problem, init)
+    check("max_iters", max_iters, int, 1)
+    check("tol", tol, rule="nonnegative")
     m = init.slice_count
     n_c = init.u.shape[1]
     n_g = init.gamma.shape[1]
@@ -303,6 +303,8 @@ def random_sequence(problem: TransferProblem, seed: int,
     initialisation that steers optimizations toward economic solutions);
     otherwise they are uniform in [0, gamma_max].
     """
+    check("seed", seed, int, "nonnegative")
+    check("u_scale", u_scale, rule="nonnegative")
     rng = np.random.default_rng(seed)
     m = problem.slices
     n_c = len(problem.system.controls)
@@ -312,8 +314,7 @@ def random_sequence(problem: TransferProblem, seed: int,
     if noise_blocks is None:
         gamma = rng.uniform(0.0, 1.0, size=(m, n_g)) * bounds[None, :]
     else:
-        if noise_blocks < 1:
-            raise ValueError("noise_blocks must be positive")
+        check("noise_blocks", noise_blocks, int, 1)
         chunk = m / (2.0 * noise_blocks)
         on = (np.floor(np.arange(m) / chunk).astype(int) % 2) == 0
         gamma = np.where(on[:, None], bounds[None, :], 0.0)
@@ -328,8 +329,8 @@ def optimize_restarts(problem: TransferProblem, restarts: int = 9, seed: int = 0
     Returns ``(best_result, all_final_errors)``; stops early once a
     restart reaches the tolerance.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    check("restarts", restarts, int, 1)
+    check("seed", seed, int, "nonnegative")
     best = None
     finals = []
     for r in range(restarts):

@@ -18,6 +18,7 @@ from typing import Literal
 
 import numpy as np
 
+from .exceptions import check
 from .qops import SIGMA_X, embed_local
 from .schedule import HoldSegment, Schedule, UnitarySegment
 
@@ -72,16 +73,22 @@ def _qubit_cycle_schedule(n: int, step_segments, swap_time: float) -> Schedule:
     return Schedule(segments=tuple(segments))
 
 
+def _check_protocol(n, gamma_star, coupling=1.0, total_noise_time=0.0, charge_swap_time=True):
+    """Check the arguments the protocols share; a default stands in for one not taken."""
+    check("n", n, int, 1)
+    check("gamma_star", gamma_star, rule="positive")
+    check("coupling", coupling, rule="positive")
+    check("total_noise_time", total_noise_time, rule="nonnegative")
+    check("charge_swap_time", charge_swap_time, bool)
+
+
 def init_error(n: int, gamma_star: float, total_noise_time: float) -> float:
     """Residual error of the n-step initialisation at equal per-qubit times.
 
     delta^2 = 1 - 2 (1 - e/2)^n + (1 - e + e^2/2)^n with
     e = exp(-gamma* T_n / n); exact for the protocol built here.
     """
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    if total_noise_time < 0:
-        raise ValueError("noise time must be nonnegative")
+    _check_protocol(n, gamma_star, total_noise_time=total_noise_time)
     e = np.exp(-gamma_star * total_noise_time / n)
     d2 = 1.0 - 2.0 * (1.0 - e / 2.0) ** n + (1.0 - e + e * e / 2.0) ** n
     return float(np.sqrt(max(d2, 0.0)))
@@ -95,6 +102,7 @@ def init_protocol(n: int, gamma_star: float, coupling: float,
     i-swaps between steps.  Equal per-qubit times minimise the residual,
     so the prediction is :func:`init_error`.
     """
+    _check_protocol(n, gamma_star, coupling, total_noise_time, charge_swap_time)
     tau = total_noise_time / n
     u = np.zeros(2 * n)
     hold = HoldSegment(u=u, gamma=np.array([gamma_star]), duration=tau, label="damp")
@@ -113,8 +121,8 @@ def init_time_bound(n: int, gamma_star: float, coupling: float,
     T_a ~ binom(n,2)/J + (n/gamma*) ln(sqrt(n(n+1)) / (2 delta)).
     Valid for small delta; tested here only up to delta = 0.05.
     """
-    if not 0.0 < delta_target < 1.0:
-        raise ValueError("delta_target must lie in (0, 1)")
+    _check_protocol(n, gamma_star, coupling)
+    check("delta_target", delta_target, rule=(0, 1, "()"))
     return float(comb(n, 2) / coupling
                  + n / gamma_star * np.log(np.sqrt(n * (n + 1)) / (2.0 * delta_target)))
 
@@ -127,8 +135,7 @@ def erase_protocol_amp(n: int, gamma_star: float, coupling: float,
     splits its populations in half exactly; total duration
     binom(n,2)/J + (n/gamma*) ln 2 with zero residual error.
     """
-    if n < 1:
-        raise ValueError("need at least one qubit")
+    _check_protocol(n, gamma_star, coupling, charge_swap_time=charge_swap_time)
     tau = np.log(2.0) / gamma_star
     u = np.zeros(2 * n)
     flip = UnitarySegment(embed_local(SIGMA_X, n, n), label="flip")
@@ -146,10 +153,7 @@ def erase_error_bitflip(n: int, gamma_star: float, total_noise_time: float) -> f
     delta^2 = 2^-n ((1 + e^2)^n - 1) with e = exp(-gamma* T_n / (2n));
     exact for the protocol built here, zero only asymptotically.
     """
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    if total_noise_time < 0:
-        raise ValueError("noise time must be nonnegative")
+    _check_protocol(n, gamma_star, total_noise_time=total_noise_time)
     e = np.exp(-gamma_star * total_noise_time / (2.0 * n))
     d2 = 2.0 ** (-n) * ((1.0 + e * e) ** n - 1.0)
     return float(np.sqrt(d2))
@@ -161,9 +165,9 @@ def erase_time_bitflip(n: int, gamma_star: float, coupling: float,
 
     T_b = binom(n,2)/J - (n/gamma*) ln((2^n delta^2 + 1)^(1/n) - 1).
     """
+    _check_protocol(n, gamma_star, coupling)
     hi = np.sqrt((2.0 ** n - 1.0) / 2.0 ** n)
-    if not 0.0 < delta_target < hi:
-        raise ValueError(f"delta_target must lie in (0, {hi:.6f}) for n={n}")
+    check("delta_target", delta_target, rule=(0, float(hi), "()"))
     inner = (2.0 ** n * delta_target ** 2 + 1.0) ** (1.0 / n) - 1.0
     return float(comb(n, 2) / coupling - n / gamma_star * np.log(inner))
 
@@ -172,6 +176,7 @@ def erase_protocol_bitflip(n: int, gamma_star: float, coupling: float,
                            total_noise_time: float,
                            charge_swap_time: bool = True) -> ProtocolReport:
     """|0...0> toward the thermal state with bit-flip noise, qubit by qubit."""
+    _check_protocol(n, gamma_star, coupling, total_noise_time, charge_swap_time)
     tau = total_noise_time / n
     u = np.zeros(2 * n)
     hold = HoldSegment(u=u, gamma=np.array([gamma_star]), duration=tau, label="average")

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import check
+
 __all__ = [
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SIGMA_MINUS", "SIGMA_PLUS", "IDENTITY_2",
     "DensityOperator", "as_matrix", "embed_local", "vec", "unvec",
@@ -65,14 +67,16 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > HERM_ATOL:
+        if not np.isfinite(m).all():
+            raise ValueError("matrix is not finite")
+        if not np.abs(m - m.conj().T).max() <= HERM_ATOL:
             raise ValueError("matrix is not Hermitian within 1e-12")
         m = (m + m.conj().T) / 2
         evals = np.linalg.eigvalsh(m)
-        if evals.min() < -PSD_ATOL:
+        if not evals.min() >= -PSD_ATOL:
             raise ValueError(f"matrix has negative eigenvalue {evals.min():.3e}")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if not abs(tr - 1.0) <= TRACE_ATOL:
             raise ValueError(f"trace is {tr!r}, expected 1")
         object.__setattr__(self, "matrix", _frozen_array(m))
 
@@ -93,8 +97,8 @@ def embed_local(op, site: int, n: int) -> np.ndarray:
     m = as_matrix(op)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 operator, got shape {m.shape}")
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} out of range for {n} qubits")
+    check("n", n, int, 1)
+    check("site", site, int, (1, n))
     left = np.eye(2 ** (site - 1), dtype=complex)
     right = np.eye(2 ** (n - site), dtype=complex)
     return np.kron(np.kron(left, m), right)
@@ -133,7 +137,9 @@ def frobenius_error(a, b) -> float:
 def sorted_spectrum(rho) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix in descending order."""
     m = as_matrix(rho)
-    if np.abs(m - m.conj().T).max() > _SPECTRUM_HERM_ATOL:
+    if not np.isfinite(m).all():
+        raise ValueError("input is not finite")
+    if not np.abs(m - m.conj().T).max() <= _SPECTRUM_HERM_ATOL:
         raise ValueError("input is not Hermitian")
     return np.linalg.eigvalsh(m)[::-1].copy()
 
@@ -147,9 +153,8 @@ def random_density(n: int, seed: int) -> DensityOperator:
     choice of ensemble; sources describing random-pair transfer benchmarks
     do not pin one down.
     """
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    dim = 2 ** n
+    dim = 2 ** check("n", n, int, 1)
+    check("seed", seed, int, "nonnegative")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T

@@ -10,14 +10,12 @@ in a noise-immune subspace.
 
 from __future__ import annotations
 
-import json
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _expm
-from .exceptions import ConfigurationError, ReachabilityError
+from .exceptions import ConfigurationError, ReachabilityError, check
 from .qops import SIGMA_X, DensityOperator, as_matrix, embed_local
 from .schedule import HoldSegment, Schedule, UnitarySegment
 
@@ -40,10 +38,13 @@ _CLOSURE_TOL = 1e-10
 def majorises(x, y, tol: float = 1e-10) -> bool:
     """True iff x is majorised by y (all descending partial sums of x bounded
     by those of y, equal totals)."""
+    check("tol", tol, rule="nonnegative")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("spectra must be finite")
     xs = np.sort(x)[::-1]
     ys = np.sort(y)[::-1]
     if abs(xs.sum() - ys.sum()) > tol:
@@ -55,9 +56,10 @@ def t_transform(v, pair: tuple[int, int], lam: float) -> np.ndarray:
     """Mix entries j and k of v: (v_j, v_k) -> (lam v_j + (1-lam) v_k, ...).
 
     The output is majorised by the input for lam in [0, 1]."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("mixing parameter must lie in [0, 1]")
+    check("lam", lam, rule=(0, 1))
     v = np.array(v, dtype=float)
+    for j in pair:
+        check("pair index", j, int, (0, len(v) - 1))
     _contract_pair(v, *pair, 2.0 * lam - 1.0)
     return v
 
@@ -75,26 +77,31 @@ def _contract_pair(v: np.ndarray, j: int, k: int, eps: float) -> None:
 # ---------------------------------------------------------------------------
 # exact switch times for pairwise transfers
 
+def _check_switch(rho_ii, rho_jj, gamma_star, tau) -> None:
+    check("rho_ii", rho_ii, rule="nonnegative")
+    check("rho_jj", rho_jj, rule="nonnegative")
+    if rho_ii + rho_jj == 0:
+        raise ValueError("rho_ii and rho_jj must not both be zero")
+    check("gamma_star", gamma_star, rule="positive")
+    check("tau", tau, rule="nonnegative")
+
+
 def switch_time_amp(rho_ii: float, rho_jj: float, gamma_star: float, tau: float) -> float:
     """Permutation instant that neutralises an amplitude-damping transfer.
 
     Permuting the pair at this time and letting damping act for the
     remaining tau - tau_ij restores the pair up to a swap.
     """
-    if rho_ii < 0 or rho_jj < 0 or rho_ii + rho_jj == 0:
-        raise ValueError("populations must be nonnegative and not both zero")
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    _check_switch(rho_ii, rho_jj, gamma_star, tau)
     return float(np.log((rho_ii * np.exp(gamma_star * tau) + rho_jj)
                         / (rho_ii + rho_jj)) / gamma_star)
 
 
 def theta_pair_admissible(rho_ii: float, rho_jj: float, theta: float) -> bool:
     """Pairing condition theta^2/(1-theta)^2 <= rho_ii/rho_jj <= its inverse."""
-    if not 0.0 <= theta < 0.5:
-        raise ValueError("theta must lie in [0, 1/2)")
-    if rho_ii < 0 or rho_jj < 0:
-        raise ValueError("populations must be nonnegative")
+    check("theta", theta, rule=(0, 0.5, "[)"))
+    check("rho_ii", rho_ii, rule="nonnegative")
+    check("rho_jj", rho_jj, rule="nonnegative")
     tb = 1.0 - theta
     lo, hi = theta ** 2 / tb ** 2, tb ** 2 / theta ** 2 if theta > 0 else np.inf
     if rho_jj == 0:
@@ -111,17 +118,15 @@ def switch_time_theta(rho_ii: float, rho_jj: float, theta: float,
     (in [0, tau]) exactly when the evolved pair stays admissible.  The
     formula degenerates at theta = 1/2.
     """
-    if not 0.0 <= theta < 0.5:
-        raise ValueError("theta must lie in [0, 1/2); the formula degenerates at 1/2")
-    if rho_ii < 0 or rho_jj < 0 or rho_ii + rho_jj == 0:
-        raise ValueError("populations must be nonnegative and not both zero")
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    check("theta", theta, rule=(0, 0.5, "[)"))
+    _check_switch(rho_ii, rho_jj, gamma_star, tau)
     tb = 1.0 - theta
     c = 1.0 / (tb ** 2 + theta ** 2)
     num = (np.exp(gamma_star * tau / c) * (tb ** 2 * rho_ii - theta ** 2 * rho_jj)
            + (tb ** 2 * rho_jj - theta ** 2 * rho_ii))
     den = (tb ** 2 - theta ** 2) * (rho_ii + rho_jj)
+    if not num > 0:
+        raise ValueError("rho_ii, rho_jj and theta admit no switch time")
     return float(c / gamma_star * np.log(num / den))
 
 
@@ -131,8 +136,7 @@ def fixed_point_theta(theta: float) -> DensityOperator:
     Unique for theta != 1/2; at theta = 1/2 every mixture of the pair is
     stationary and the returned maximally mixed state is just one of them.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
+    check("theta", theta, rule=(0, 1))
     tb = 1.0 - theta
     c = 1.0 / (tb ** 2 + theta ** 2)
     return DensityOperator(np.diag([c * tb ** 2, c * theta ** 2]).astype(complex))
@@ -145,10 +149,8 @@ def beta_of_theta(theta: float, delta_energy: float) -> float:
     beta = (2/Delta) artanh((tb^2 - theta^2)/(tb^2 + theta^2)); infinite at
     theta = 0 (zero temperature), zero at theta = 1/2.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    if delta_energy <= 0:
-        raise ValueError("level splitting must be positive")
+    check("theta", theta, rule=(0, 1))
+    check("delta_energy", delta_energy, rule="positive")
     tb = 1.0 - theta
     bias = (tb ** 2 - theta ** 2) / (tb ** 2 + theta ** 2)
     if abs(bias) >= 1.0:
@@ -197,23 +199,6 @@ class HlpPlan:
     @property
     def total_dissipative_time(self) -> float:
         return float(sum(s.tau for s in self.steps))
-
-    def to_json(self) -> str:
-        payload = {
-            "initial_spectrum": list(self.initial_spectrum),
-            "target_spectrum": list(self.target_spectrum),
-            "gamma_star": self.gamma_star,
-            "residual_target": self.residual_target,
-            "total_dissipative_time": self.total_dissipative_time,
-            "predicted_residual": self.predicted_residual,
-            "predicted_final_spectrum": list(self.predicted_final_spectrum),
-            "steps": [
-                {"pair": list(s.pair), "lambda": s.lam, "tau": s.tau,
-                 "eps": s.eps, "pre_permutation": list(s.pre_permutation)}
-                for s in self.steps
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _hlp_raw_steps(y_sorted: np.ndarray, x_sorted: np.ndarray, tol: float):
@@ -294,12 +279,10 @@ def hlp_plan(y, x, gamma_star: float, residual_target: float = 1e-4) -> HlpPlan:
     x = np.asarray(x, dtype=float)
     if y.shape != x.shape or y.ndim != 1:
         raise ValueError("spectra must be equal-length vectors")
-    if abs(y.sum() - 1.0) > _SUM_ATOL or abs(x.sum() - 1.0) > _SUM_ATOL:
-        raise ValueError("spectra must sum to one")
-    if gamma_star <= 0:
-        raise ValueError("gamma_star must be positive")
-    if residual_target <= 0:
-        raise ValueError("residual_target must be positive")
+    if not (abs(y.sum() - 1.0) <= _SUM_ATOL and abs(x.sum() - 1.0) <= _SUM_ATOL):
+        raise ValueError("spectra must be finite and sum to one")
+    check("gamma_star", gamma_star, rule="positive")
+    check("residual_target", residual_target, rule="positive")
     if not majorises(x, y):
         raise ReachabilityError("target spectrum is not majorised by the initial one")
 
@@ -401,10 +384,7 @@ def _terminal_noise(system, local=SIGMA_X / 2):
 
 def _schedulable(system, trotter_steps: int):
     """Checked inputs of a compiled schedule: terminal bit-flip noise index, drift energies."""
-    if not isinstance(trotter_steps, numbers.Integral):
-        raise ValueError(f"Trotter count must be an integer, got {trotter_steps!r}")
-    if trotter_steps < 1:
-        raise ValueError("need at least one Trotter cycle")
+    check("trotter_steps", trotter_steps, int, 1)
     noise_idx = _terminal_noise(system)
     if noise_idx is None:
         raise ConfigurationError("system lacks switchable bit-flip noise on the terminal qubit")

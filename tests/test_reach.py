@@ -297,7 +297,7 @@ class TestHlpExecute:
         plan = hlp_plan([0.4, 0.3, 0.2, 0.1], np.full(4, 0.25), gamma_star=5.0)
         system = ising_chain(2, noise_kind="bitflip", gamma_star=5.0)
         for compile_or_predict in (hlp_execute, predict_executed_spectrum):
-            with pytest.raises(ValueError, match="at least one Trotter cycle"):
+            with pytest.raises(ValueError, match="trotter_steps must be at least 1"):
                 compile_or_predict(plan, system, trotter_steps=trotter)
 
     @pytest.mark.parametrize("trotter", [2.5, 3.0])
@@ -305,7 +305,7 @@ class TestHlpExecute:
         plan = hlp_plan([0.4, 0.3, 0.2, 0.1], np.full(4, 0.25), gamma_star=5.0)
         system = ising_chain(2, noise_kind="bitflip", gamma_star=5.0)
         for compile_or_predict in (hlp_execute, predict_executed_spectrum):
-            with pytest.raises(ValueError, match="Trotter count must be an integer"):
+            with pytest.raises(ValueError, match="trotter_steps must be an integer"):
                 compile_or_predict(plan, system, trotter_steps=trotter)
 
 
