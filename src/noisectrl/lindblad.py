@@ -204,20 +204,38 @@ def _generator_stack(system) -> np.ndarray:
     return stack
 
 
-def liouvillians(system, u, gamma) -> np.ndarray:
-    """Slice generators L_k = i H_hat(H_0 + sum_j u_kj H_j) + sum_l gamma_kl Gamma_hat_l.
+def _amplitudes(system, u, gamma):
+    """``u`` (M, m) and ``gamma`` (M, l) as float arrays, or a ValueError.
 
-    ``u`` (M, m) and ``gamma`` (M, l) hold one row of amplitudes per slice;
-    the result is the real Pauli-basis stack (M, N^2, N^2), one contraction
-    of the amplitudes with the system's generator stack.  The background
-    (non-switchable) noise of the system is part of every slice.
+    The one definition of valid amplitudes: each noise amplitude lies in
+    [0, gamma_max] of its channel (NaN does not); coherent ones are free.
     """
     u = np.asarray(u, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    if u.ndim != 2 or gamma.shape != (len(u), len(system.noises)) \
-            or u.shape[1] != len(system.controls):
-        raise ValueError(f"expected amplitudes of shapes (M, {len(system.controls)}) and "
-                         f"(M, {len(system.noises)}), got {u.shape} and {gamma.shape}")
+    if u.shape[1:] != (len(system.controls),):
+        raise ValueError(f"amplitudes have control shape {u.shape[1:]}, "
+                         f"system expects {len(system.controls)} columns")
+    if gamma.shape != (len(u), len(system.noises)):
+        raise ValueError(f"amplitudes have noise shape {gamma.shape}, "
+                         f"expected {(len(u), len(system.noises))}")
+    inside = (gamma >= 0) & (gamma <= system.gamma_bounds)
+    if not inside.all():
+        k, idx = np.argwhere(~inside)[0]
+        noise = system.noises[idx]
+        raise ValueError(f"noise amplitude gamma[{k}, {idx}] = {gamma[k, idx]} for "
+                         f"'{noise.label}' is not a finite number in [0, {noise.gamma_max}]")
+    return u, gamma
+
+
+def liouvillians(system, u, gamma) -> np.ndarray:
+    """Slice generators L_k = i H_hat(H_0 + sum_j u_kj H_j) + sum_l gamma_kl Gamma_hat_l.
+
+    ``u`` (M, m) and ``gamma`` (M, l), checked by :func:`_amplitudes`, hold
+    one row per slice; the result is the real Pauli-basis stack (M, N^2,
+    N^2), one contraction of the amplitudes with the system's generator
+    stack.  The background (non-switchable) noise is part of every slice.
+    """
+    u, gamma = _amplitudes(system, u, gamma)
     stack = system.pauli_generators
     amps = np.concatenate([np.ones((len(u), 1)), u, gamma], axis=1)
     size = stack.shape[-1]
@@ -227,19 +245,13 @@ def liouvillians(system, u, gamma) -> np.ndarray:
 def assemble_liouvillian(system, u, gamma) -> np.ndarray:
     """Build L = i H_hat(H_0 + sum_j u_j H_j) + sum_l gamma_l Gamma_hat_l.
 
-    The bounds-checked single-slice form of :func:`liouvillians`, in the
-    real Pauli basis: ``u`` are unbounded real coherent amplitudes, one per
-    control; ``gamma`` must lie in [0, gamma_max] for each switchable noise
-    channel.  Background (non-switchable) noise terms of the system are
-    always added.
+    The single-slice form of :func:`liouvillians`, in the real Pauli basis:
+    ``u`` are unbounded real coherent amplitudes, one per control; ``gamma``
+    must lie in [0, gamma_max] for each switchable noise channel.
+    Background (non-switchable) noise terms of the system are always added.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    ell = liouvillians(system, np.asarray(u, dtype=float)[None], gamma[None])[0]
-    for g, noise in zip(gamma, system.noises):
-        if g < 0 or g > noise.gamma_max:
-            raise ValueError(
-                f"noise amplitude {g} for '{noise.label}' outside [0, {noise.gamma_max}]")
-    return ell
+    return liouvillians(system, np.asarray(u, dtype=float)[None],
+                        np.asarray(gamma, dtype=float)[None])[0]
 
 
 def propagator(ell: np.ndarray, dt: float) -> np.ndarray:
@@ -299,31 +311,19 @@ class ThetaChannelParams:
         check("gamma_star", self.gamma_star, rule="positive")
         check("t", self.t, rule="nonnegative")
 
-    @property
-    def eps_theta(self) -> float:
-        tb = 1.0 - self.theta
-        c = 1.0 / (tb * tb + self.theta * self.theta)
-        return float(np.exp(-self.gamma_star * self.t / c))
-
 
 def diag_channel_theta(params: ThetaChannelParams, n: int) -> np.ndarray:
     """Action of the theta channel on the diagonal of an n-qubit state.
 
     Returns the 2^n x 2^n stochastic matrix R_theta(t) = 1^(n-1) kron B with
-    the single-qubit block B acting on each population pair.  theta=0 gives
-    the amplitude-damping block (column stochastic), theta=1/2 the
-    bit-flip averaging block (doubly stochastic).
+    the single-qubit block B acting on each population pair: the population
+    corners of :func:`theta_channel_exact`.  theta=0 gives the
+    amplitude-damping block (column stochastic), theta=1/2 the bit-flip
+    averaging block (doubly stochastic).
     """
     check("n", n, int, 1)
-    th = params.theta
-    tb = 1.0 - th
-    c = 1.0 / (tb * tb + th * th)
-    eps = params.eps_theta
-    block = c * np.array([
-        [tb * tb + th * th * eps, tb * tb * (1 - eps)],
-        [th * th * (1 - eps), th * th + tb * tb * eps],
-    ])
-    return np.kron(np.eye(2 ** (n - 1)), block)
+    exact = theta_channel_exact(params.theta, params.gamma_star * params.t)
+    return np.kron(np.eye(2 ** (n - 1)), exact[np.ix_([0, 3], [0, 3])].real)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ class Noise:
     label: str
     operator: np.ndarray
     gamma_max: float
-    kind: str = "custom"     # 'amp' | 'bitflip' | 'theta' | 'custom'
 
 
 @dataclass(frozen=True)
@@ -74,12 +73,13 @@ class ControlSystem:
                 raise ConfigurationError(f"control '{c.label}' is not Hermitian")
         for noise in self.noises:
             finite_operator(f"noise '{noise.label}'", noise.operator)
-            if not noise.gamma_max > 0:
-                raise ConfigurationError(f"noise '{noise.label}' needs gamma_max > 0")
+            # the amplitude check is only as good as its bound: inf fails too
+            if not 0 < noise.gamma_max < np.inf:
+                raise ConfigurationError(f"noise '{noise.label}' needs a finite gamma_max > 0")
         for op, rate in self.background_noises:
             finite_operator("background noise operator", op)
-            if not rate >= 0:
-                raise ConfigurationError("background noise rate must be nonnegative")
+            if not 0 <= rate < np.inf:
+                raise ConfigurationError("background noise rate must be finite and nonnegative")
 
     @property
     def dim(self) -> int:
@@ -144,8 +144,7 @@ def ising_chain(n: int, coupling: float = 1.0, noise_kind="amp",
             raise ValueError(f"unknown noise kind {noise_kind!r}")
     else:
         local, kind = v_theta(noise_kind), "theta"
-    noise = Noise(f"{kind}{noisy_site}", embed_local(local, noisy_site, n),
-                  gamma_star, kind)
+    noise = Noise(f"{kind}{noisy_site}", embed_local(local, noisy_site, n), gamma_star)
 
     background = ()
     if dephasing is not None and check("dephasing", dephasing, rule="nonnegative") > 0:
@@ -171,7 +170,7 @@ def ion_trap_model(gamma_star: float = 5.0) -> ControlSystem:
     controls = [Control(f"z{q}", embed_local(SIGMA_Z / 2, q, n)) for q in range(1, n + 1)]
     controls += [Control("Fx", fx), Control("Fy", fy),
                  Control("Fx2", fx @ fx), Control("Fy2", fy @ fy)]
-    noise = Noise(f"amp{n}", embed_local(SIGMA_MINUS, n, n), gamma_star, "amp")
+    noise = Noise(f"amp{n}", embed_local(SIGMA_MINUS, n, n), gamma_star)
     return ControlSystem(n=n, h0=np.zeros((2 ** n, 2 ** n), dtype=complex),
                          controls=tuple(controls), noises=(noise,))
 

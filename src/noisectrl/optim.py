@@ -35,8 +35,8 @@ import scipy.optimize
 
 from . import _expm
 from .exceptions import NumericalHealthError, check
-from .lindblad import liouvillians, pauli_basis
-from .qops import HERM_ATOL, as_matrix, unvec, vec
+from .lindblad import _amplitudes, liouvillians, pauli_basis
+from .qops import _density, unvec, vec
 
 __all__ = [
     "ControlSequence", "TransferProblem", "Trajectory",
@@ -83,6 +83,8 @@ class ControlSequence:
 
 @dataclass(frozen=True)
 class TransferProblem:
+    """Steer ``rho0`` to ``target``; both are kept as converted DensityOperator instances."""
+
     system: object
     rho0: object
     target: object
@@ -92,12 +94,11 @@ class TransferProblem:
     def __post_init__(self):
         check("slices", self.slices, int, 1)
         check("total_time", self.total_time, rule="positive")
-        dim = self.system.dim
-        for rho in (as_matrix(self.rho0), as_matrix(self.target)):
-            if rho.shape != (dim, dim):
+        for name in ("rho0", "target"):
+            rho = _density(getattr(self, name))
+            if rho.dim != self.system.dim:
                 raise ValueError("state dimensions do not match the system")
-            if not np.abs(rho - rho.conj().T).max() <= HERM_ATOL:
-                raise ValueError(f"states must be Hermitian within {HERM_ATOL}")
+            object.__setattr__(self, name, rho)
 
     @property
     def dt(self) -> float:
@@ -113,19 +114,11 @@ class Trajectory:
 
 def _coordinates(system, rho) -> np.ndarray:
     """Real Pauli coordinates B^dag vec(rho) of a Hermitian state."""
-    return (pauli_basis(system.n).conj().T @ vec(as_matrix(rho))).real
+    return (pauli_basis(system.n).conj().T @ vec(rho)).real
 
 
 def _check_sequence(problem, seq):
-    if seq.u.shape[1:] != (len(problem.system.controls),):
-        raise ValueError(f"sequence has control shape {seq.u.shape[1:]}, "
-                         f"system expects {len(problem.system.controls)} columns")
-    if seq.gamma.shape[1:] != (len(problem.system.noises),):
-        raise ValueError(f"sequence has noise shape {seq.gamma.shape[1:]}, "
-                         f"system expects {len(problem.system.noises)} columns")
-    bounds = problem.system.gamma_bounds
-    if np.any(seq.gamma < 0) or np.any(seq.gamma > bounds[None, :]):
-        raise ValueError("noise amplitudes outside [0, gamma_max]")
+    _amplitudes(problem.system, seq.u, seq.gamma)
     if abs(seq.duration - problem.total_time) > 1e-9 * max(1.0, problem.total_time):
         raise ValueError("sequence duration does not match the problem horizon")
 

@@ -8,8 +8,8 @@ Conventions used throughout the package:
 * Vectorization is column stacking: entry ``(i, j)`` of a matrix maps to
   vector index ``j*N + i``, so that ``vec(A rho B) = (B^T kron A) vec(rho)``.
 
-All functions accept either bare ``numpy`` arrays or the
-:class:`DensityOperator` wrapper defined here.
+All functions accept bare ``numpy`` arrays or :class:`DensityOperator`, the
+package's one definition of a valid state: every state argument is converted to it.
 """
 
 from __future__ import annotations
@@ -46,6 +46,14 @@ def as_matrix(op) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
+def _square(op) -> np.ndarray:
+    """The matrix of ``op``, or a ValueError if it is not a nonempty square matrix."""
+    m = as_matrix(op)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
+    return m
+
+
 def _frozen_array(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex, order="C")
     out.setflags(write=False)
@@ -54,7 +62,7 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Unit-trace positive semidefinite Hermitian matrix.
+    """Unit-trace positive semidefinite Hermitian matrix, the one definition of a state.
 
     Inputs are symmetrized ``(A + A^dag)/2`` before the PSD and trace
     checks, which guards against anti-Hermitian round-off accumulated in
@@ -64,9 +72,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        m = _square(self.matrix)
         if not np.isfinite(m).all():
             raise ValueError("matrix is not finite")
         if not np.abs(m - m.conj().T).max() <= HERM_ATOL:
@@ -88,6 +94,11 @@ class DensityOperator:
         return sorted_spectrum(self)
 
 
+def _density(rho) -> DensityOperator:
+    """``rho`` itself if it is a :class:`DensityOperator`, else one built from it."""
+    return rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
+
+
 def embed_local(op, site: int, n: int) -> np.ndarray:
     """Place a single-qubit operator at ``site`` in an ``n``-qubit register.
 
@@ -106,10 +117,7 @@ def embed_local(op, site: int, n: int) -> np.ndarray:
 
 def vec(rho) -> np.ndarray:
     """Column-stack a matrix into a vector: entry (i, j) -> index j*N + i."""
-    m = as_matrix(rho)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m.reshape(-1, order="F")
+    return _square(rho).reshape(-1, order="F")
 
 
 def unvec(v) -> np.ndarray:
@@ -136,7 +144,7 @@ def frobenius_error(a, b) -> float:
 
 def sorted_spectrum(rho) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix in descending order."""
-    m = as_matrix(rho)
+    m = _square(rho)
     if not np.isfinite(m).all():
         raise ValueError("input is not finite")
     if not np.abs(m - m.conj().T).max() <= _SPECTRUM_HERM_ATOL:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _expm
 from .exceptions import ConfigurationError, ReachabilityError, check
-from .qops import SIGMA_X, DensityOperator, as_matrix, embed_local
+from .qops import SIGMA_X, DensityOperator, _density, as_matrix, embed_local
 from .schedule import HoldSegment, Schedule, UnitarySegment
 
 __all__ = [
@@ -343,12 +343,11 @@ def plan_state_transfer(rho0, rho_target, gamma_star: float,
     """HLP plan between density operators, keeping their diagonalizers.
 
     The emitted schedule then starts by rotating rho0 to its sorted
-    eigenbasis and ends by rotating into the target eigenbasis.
+    eigenbasis and ends by rotating into the target eigenbasis.  Both states
+    must be valid DensityOperators.
     """
-    m0 = as_matrix(rho0)
-    mt = as_matrix(rho_target)
-    w0, v0 = np.linalg.eigh(m0)
-    wt, vt = np.linalg.eigh(mt)
+    w0, v0 = np.linalg.eigh(_density(rho0).matrix)
+    wt, vt = np.linalg.eigh(_density(rho_target).matrix)
     order0 = np.argsort(-w0)
     ordert = np.argsort(-wt)
     return replace(hlp_plan(w0[order0], wt[ordert], gamma_star, residual_target),

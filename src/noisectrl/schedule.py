@@ -20,7 +20,7 @@ import numpy as np
 
 from .exceptions import NumericalHealthError
 from .lindblad import assemble_liouvillian, pauli_basis, propagator
-from .qops import as_matrix, sorted_spectrum, unvec, vec
+from .qops import _density, sorted_spectrum, unvec, vec
 
 __all__ = ["UnitarySegment", "HoldSegment", "Schedule", "propagate_schedule"]
 
@@ -61,7 +61,7 @@ class Schedule:
         """Total duration of the holds in which any noise amplitude is nonzero."""
         total = 0.0
         for seg in self.segments:
-            if isinstance(seg, HoldSegment) and np.any(seg.gamma > 0):
+            if isinstance(seg, HoldSegment) and np.any(seg.gamma):
                 total += seg.duration
         return total
 
@@ -78,9 +78,9 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
     ``vec(rho)``.  Hold propagators are memoized on (amplitudes, duration),
     which collapses the cost of the long repetitive decoupling trains; each
     is exponentiated in the real Pauli basis and taken to the column-stacked
-    basis once, when it enters the memo.
+    basis once, when it enters the memo.  ``rho0`` must be a valid DensityOperator.
     """
-    rho = as_matrix(rho0)
+    rho = _density(rho0).matrix
     basis = pauli_basis(system.n)
     cache: dict = {}
     times = [0.0]
@@ -103,7 +103,7 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
             times.append(t)
             spectra.append(sorted_spectrum(rho))
     rho = (rho + rho.conj().T) / 2
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
+    if not abs(np.trace(rho).real - 1.0) <= 1e-8:    # a NaN state fails too
         raise NumericalHealthError("schedule propagation lost trace normalization")
     if record:
         return rho, np.array(times), np.array(spectra)

@@ -12,6 +12,12 @@ Left out on purpose: ``trotter_decoupled_propagator``'s ``gamma``, whose
 non-finite values are the exponential's ``NumericalHealthError``
 (``test_non_finite_exponent_is_a_numerical_failure``), and
 ``ising_chain``'s ``noise_kind``, whose theta is ``v_theta``'s row.
+
+Array arguments have three tables: non-finite arrays and noise amplitudes,
+invalid states (each raises the ValueError of ``DensityOperator``, the one
+definition of a state), and wrong shapes.  An infinite ``gamma_max`` or
+background rate is a ``ConfigurationError``, as a NaN one is
+(``test_models.test_nan_rates_are_rejected``).
 """
 
 import dataclasses
@@ -21,7 +27,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisectrl import lindblad, models, optim, protocols, qops, reach
+from noisectrl import lindblad, models, optim, protocols, qops, reach, schedule
+from noisectrl.exceptions import ConfigurationError
 
 SWEPT = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-1": -1, "0": 0,
          "2.5": 2.5, "True": True}
@@ -148,7 +155,57 @@ def test_bad_scalar_argument_raises_value_error_naming_it(case):
     lambda bad: qops.sorted_spectrum(np.diag([bad, 1.0])),
     lambda bad: reach.majorises([bad, 1.0], [0.5, 0.5]),
     lambda bad: reach.hlp_plan([bad, 1.0], [0.5, 0.5], gamma_star=5.0),
-], ids=["DensityOperator", "sorted_spectrum", "majorises", "hlp_plan"])
+    lambda bad: lindblad.assemble_liouvillian(_CHAIN, np.zeros(4), [bad]),
+    lambda bad: optim.error(_PROBLEM, optim.ControlSequence(0.5, np.zeros((2, 2)),
+                                                            [[bad], [0.0]])),
+], ids=["DensityOperator", "sorted_spectrum", "majorises", "hlp_plan", "assemble_liouvillian",
+        "error"])
 def test_non_finite_array_raises_value_error(call, bad):
     with pytest.raises(ValueError, match="finite"):
         call(bad)
+
+
+# each state argument is converted through DensityOperator and raises its error
+@pytest.mark.parametrize("state, message", [
+    (np.diag([np.nan, 1.0]), "not finite"),
+    (np.diag([2.0, -1.0]), "negative eigenvalue"),
+    (np.array([[1.0, 1.0], [0.0, 0.0]]), "not Hermitian"),
+], ids=["nan", "not-psd", "not-hermitian"])
+@pytest.mark.parametrize("call", [
+    lambda rho: optim.TransferProblem(_QUBIT, rho, models.zero_state(1), 1.0, 2),
+    lambda rho: optim.TransferProblem(_QUBIT, models.zero_state(1), rho, 1.0, 2),
+    lambda rho: schedule.propagate_schedule(_QUBIT, schedule.Schedule(), rho),
+    lambda rho: reach.plan_state_transfer(rho, models.thermal_state(1), gamma_star=5.0),
+    lambda rho: reach.plan_state_transfer(models.zero_state(1), rho, gamma_star=5.0),
+], ids=["TransferProblem-rho0", "TransferProblem-target", "propagate_schedule",
+        "plan_state_transfer-rho0", "plan_state_transfer-target"])
+def test_invalid_state_raises_value_error(call, state, message):
+    with pytest.raises(ValueError, match=message):
+        call(state)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: qops.sorted_spectrum(np.zeros(3)), "square matrix"),
+    (lambda: qops.DensityOperator(np.zeros((0, 0))), "square matrix"),
+    (lambda: optim.TransferProblem(_QUBIT, np.full(2, 0.5), models.zero_state(1), 1.0, 2),
+     "square matrix"),
+    (lambda: schedule.propagate_schedule(_QUBIT, schedule.Schedule(), np.full(2, 0.5)),
+     "square matrix"),
+    (lambda: reach.plan_state_transfer(np.full(2, 0.5), models.zero_state(1), gamma_star=5.0),
+     "square matrix"),
+    (lambda: lindblad.assemble_liouvillian(_CHAIN, np.zeros(3), [0.0]), "control shape"),
+], ids=["sorted_spectrum", "DensityOperator", "TransferProblem", "propagate_schedule",
+        "plan_state_transfer", "assemble_liouvillian"])
+def test_wrong_shape_array_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("gamma_max, rate", [(np.inf, 0.1), (1.0, np.inf)])
+def test_infinite_rates_are_a_configuration_error(gamma_max, rate):
+    # an infinite gamma_max would let the amplitude check pass infinite amplitudes
+    op = np.diag([0.5, -0.5]).astype(complex)
+    with pytest.raises(ConfigurationError, match="finite"):
+        models.ControlSystem(n=1, h0=np.zeros((2, 2)), controls=(),
+                             noises=(models.Noise("v", op, gamma_max),),
+                             background_noises=((op, rate),))

@@ -364,6 +364,8 @@ MALFORMED = [
      "control shape (4, 1)"),
     ("simulate", "sequence", None, {"u": [[0.0] * 4] * 4, "gamma": "x"},
      "gamma must be an array"),
+    ("simulate", "sequence", None, {"u": [[0.0] * 4] * 4, "gamma": [[math.nan]] + [[1.0]] * 3},
+     "gamma[0, 0] = nan for 'bitflip2' is not a finite number"),
     ("hlp", "hlp", "residual_target", "a", "residual_target must be a finite number"),
     ("hlp", "hlp", "trotter_steps", "a", "trotter_steps must be an integer"),
     ("hlp", "hlp", "execute", "no", "execute must be true or false"),

@@ -466,7 +466,7 @@ class TestDiagChannelTheta:
         np.testing.assert_allclose(block, x[np.ix_([0, 3], [0, 3])].real, atol=1e-12)
         tb = 1 - theta
         c = 1 / (tb ** 2 + theta ** 2)
-        eps = params.eps_theta
+        eps = np.exp(-gs * t / c)
         damp = np.array([[1, 1 - eps], [0, eps]])
         avg = 0.5 * np.array([[1 + eps, 1 - eps], [1 - eps, 1 + eps]])
         np.testing.assert_allclose(

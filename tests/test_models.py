@@ -33,9 +33,9 @@ class TestIsingChain:
         assert len(ising_chain(3, gamma_star=5.0).background_noises) == 0
 
     def test_noise_kinds(self):
-        assert ising_chain(2, noise_kind="amp").noises[0].kind == "amp"
-        assert ising_chain(2, noise_kind="bitflip").noises[0].kind == "bitflip"
-        assert ising_chain(2, noise_kind=0.25).noises[0].kind == "theta"
+        assert ising_chain(2, noise_kind="amp").noises[0].label == "amp2"
+        assert ising_chain(2, noise_kind="bitflip").noises[0].label == "bitflip2"
+        assert ising_chain(2, noise_kind=0.25).noises[0].label == "theta2"
         with pytest.raises(ValueError):
             ising_chain(2, noise_kind="depolarize")
 
@@ -92,7 +92,7 @@ class TestIonTrap:
         assert len(trap.controls) == 8
         assert trap.control_labels() == ["z1", "z2", "z3", "z4",
                                          "Fx", "Fy", "Fx2", "Fy2"]
-        assert trap.noises[0].kind == "amp"
+        assert trap.noises[0].label == "amp4"
 
     def test_collective_x_spreads_excitation(self):
         trap = ion_trap_model()

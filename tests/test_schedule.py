@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisectrl.exceptions import NumericalHealthError
 from noisectrl.lindblad import assemble_liouvillian, pauli_basis, propagator
 from noisectrl.models import ising_chain
 from noisectrl.qops import random_density, sorted_spectrum, unvec, vec
@@ -71,3 +73,10 @@ class TestPropagateSchedule:
         single = propagate_schedule(system, Schedule(segments=(
             HoldSegment(u=hold.u, gamma=hold.gamma, duration=0.5),)), rho0)
         np.testing.assert_allclose(train, single, rtol=0, atol=1e-12)
+
+    def test_non_finite_unitary_is_a_numerical_failure(self):
+        # NaN fails the final trace test, which is written so that it does
+        system = ising_chain(1, noise_kind="bitflip")
+        bad = Schedule(segments=(UnitarySegment(np.full((2, 2), np.nan)),))
+        with pytest.raises(NumericalHealthError, match="trace"):
+            propagate_schedule(system, bad, random_density(1, 5))
