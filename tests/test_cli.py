@@ -364,8 +364,6 @@ MALFORMED = [
      "control shape (4, 1)"),
     ("simulate", "sequence", None, {"u": [[0.0] * 4] * 4, "gamma": "x"},
      "gamma must be an array"),
-    ("simulate", "sequence", None, {"u": [[0.0] * 4] * 4, "gamma": [[math.nan]] + [[1.0]] * 3},
-     "gamma[0, 0] = nan for 'bitflip2' is not a finite number"),
     ("hlp", "hlp", "residual_target", "a", "residual_target must be a finite number"),
     ("hlp", "hlp", "trotter_steps", "a", "trotter_steps must be an integer"),
     ("hlp", "hlp", "execute", "no", "execute must be true or false"),
@@ -381,6 +379,8 @@ MALFORMED = [
     ("simulate", "system", "dephasing", "x", "dephasing must be a finite number"),
     ("hlp", "hlp", "system.noise", "amp",
      "execute needs bitflip noise on the last qubit, system has 'amp2'"),
+    ("simulate", "sequence", None, {"u": [[0.0] * 4] * 4, "gamma": [[math.nan]] + [[1.0]] * 3},
+     "gamma[0, 0] = nan for 'bitflip2' is not a finite number"),
 ]
 
 
