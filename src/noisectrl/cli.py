@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import models, optim, protocols, reach
+from . import lindblad, models, optim, protocols, reach
 from .exceptions import ConfigurationError, NumericalHealthError, ReachabilityError, check
 from .qops import (SIGMA_MINUS, SIGMA_X, DensityOperator, as_matrix, frobenius_error,
                    random_density, sorted_spectrum, vec)
@@ -185,6 +185,7 @@ def load(config, mode: str | None = None, seed: int | None = None):
                 seq = optim.random_sequence(problem, seed, noise_blocks=blocks, u_scale=u_scale)
             else:
                 raise ValueError(f"unknown style {style!r}")
+            lindblad._amplitudes(system, seq.u, seq.gamma)
             optim._check_sequence(problem, seq)
             built["sequence"] = seq
 

@@ -64,13 +64,14 @@ class ControlSystem:
                 raise NumericalHealthError(f"non-finite entries in {what}")
             return m
 
-        h0 = finite_operator("drift", self.h0)
-        if np.abs(h0 - h0.conj().T).max() > 1e-12:
-            raise ConfigurationError("drift is not Hermitian")
+        def hermitian_operator(what, op):
+            m = finite_operator(what, op)
+            if np.abs(m - m.conj().T).max() > 1e-12 * np.abs(m).max():
+                raise ConfigurationError(f"{what} is not Hermitian")
+
+        hermitian_operator("drift", self.h0)
         for c in self.controls:
-            m = finite_operator(f"control '{c.label}'", c.operator)
-            if np.abs(m - m.conj().T).max() > 1e-12:
-                raise ConfigurationError(f"control '{c.label}' is not Hermitian")
+            hermitian_operator(f"control '{c.label}'", c.operator)
         for noise in self.noises:
             finite_operator(f"noise '{noise.label}'", noise.operator)
             # the amplitude check is only as good as its bound: inf fails too

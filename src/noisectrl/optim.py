@@ -36,16 +36,13 @@ import scipy.optimize
 from . import _expm
 from .exceptions import NumericalHealthError, check
 from .lindblad import _amplitudes, liouvillians, pauli_basis
-from .qops import _density, unvec, vec
+from .qops import _density, _health_spectra, vec
 
 __all__ = [
     "ControlSequence", "TransferProblem", "Trajectory",
     "propagate", "error", "gradient",
     "OptimizationResult", "optimize", "optimize_restarts", "random_sequence",
 ]
-
-# tolerance of propagate()'s Hermiticity, unit-trace and positivity check
-_HEALTH_ATOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,7 @@ def _coordinates(system, rho) -> np.ndarray:
 
 
 def _check_sequence(problem, seq):
-    _amplitudes(problem.system, seq.u, seq.gamma)
+    """The sequence's duration test; its amplitudes are checked by ``liouvillians``."""
     if abs(seq.duration - problem.total_time) > 1e-9 * max(1.0, problem.total_time):
         raise ValueError("sequence duration does not match the problem horizon")
 
@@ -135,24 +132,17 @@ def _forward(problem, u, gamma):
 
 
 def propagate(problem: TransferProblem, seq: ControlSequence) -> Trajectory:
-    """Propagate slice by slice, recording every state and its spectrum."""
+    """Propagate slice by slice, recording every state and its spectrum.
+
+    The states pass ``qops._health_spectra``, which names the first bad slice.
+    """
     _check_sequence(problem, seq)
     _, _, f = _forward(problem, seq.u, seq.gamma)
     f = f @ pauli_basis(problem.system.n).T
-    m = seq.slice_count
     dim = problem.system.dim
-    spectra = np.empty((m + 1, dim))
-    for k in range(m + 1):
-        rho = unvec(f[k])
-        herm = np.abs(rho - rho.conj().T).max()
-        tr = np.trace(rho).real
-        evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if herm > _HEALTH_ATOL or abs(tr - 1.0) > _HEALTH_ATOL or evals.min() < -_HEALTH_ATOL:
-            raise NumericalHealthError(
-                f"state at slice {k} violates density-operator invariants "
-                f"(herm {herm:.2e}, trace dev {abs(tr-1):.2e}, min eig {evals.min():.2e})")
-        spectra[k] = evals[::-1]
-    times = problem.dt * np.arange(m + 1)
+    # f[k] is vec(rho_k) (column stacking), so each row reshapes to rho_k^T
+    spectra = _health_spectra(f.reshape(-1, dim, dim).transpose(0, 2, 1), "slice")
+    times = problem.dt * np.arange(seq.slice_count + 1)
     return Trajectory(times=times, states=f, sorted_eigenvalues=spectra)
 
 
@@ -225,6 +215,7 @@ def optimize(problem: TransferProblem, init: ControlSequence,
     seen.
     """
     _check_sequence(problem, init)
+    _amplitudes(problem.system, init.u, init.gamma)    # L-BFGS-B would clip them silently
     check("max_iters", max_iters, int, 1)
     check("tol", tol, rule="nonnegative")
     m = init.slice_count

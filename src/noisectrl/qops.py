@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import check
+from .exceptions import NumericalHealthError, check
 
 __all__ = [
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SIGMA_MINUS", "SIGMA_PLUS", "IDENTITY_2",
@@ -36,8 +36,9 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 HERM_ATOL = 1e-12
 PSD_ATOL = 1e-12
 TRACE_ATOL = 1e-12
-# sorted_spectrum accepts propagated states, whose Hermiticity drifts by rounding
-_SPECTRUM_HERM_ATOL = 1e-10
+# tolerance of every invariant of a propagated state: rounding reaches 2.7e-13
+# on the benchmark's jobs, a 4-qubit HLP schedule's trace drift 5.6e-9 at coupling 1e7
+_HEALTH_ATOL = 1e-8
 
 
 def as_matrix(op) -> np.ndarray:
@@ -143,13 +144,33 @@ def frobenius_error(a, b) -> float:
 
 
 def sorted_spectrum(rho) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix in descending order."""
+    """Real eigenvalues of a matrix Hermitian within ``HERM_ATOL``, in descending order."""
     m = _square(rho)
     if not np.isfinite(m).all():
         raise ValueError("input is not finite")
-    if not np.abs(m - m.conj().T).max() <= _SPECTRUM_HERM_ATOL:
+    if not np.abs(m - m.conj().T).max() <= HERM_ATOL:
         raise ValueError("input is not Hermitian")
     return np.linalg.eigvalsh(m)[::-1].copy()
+
+
+def _health_spectra(states, where: str) -> np.ndarray:
+    """Descending spectra of one propagated state (N, N) or a stack (..., N, N), or a
+    NumericalHealthError naming (``where`` and stack index) the first non-finite state or
+    one not Hermitian, unit-trace and positive semidefinite within ``_HEALTH_ATOL``."""
+    m = np.asarray(states)
+    herm = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+    try:
+        evals = np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError:    # raised by some non-finite entries; their herm is nan or inf
+        evals = np.linalg.eigvalsh(np.where(np.isfinite(herm)[..., None, None], m, 0))
+    dev = np.abs(evals.sum(axis=-1) - 1.0)    # the trace is the eigenvalue sum
+    ok = (herm <= _HEALTH_ATOL) & (dev <= _HEALTH_ATOL) & (evals[..., 0] >= -_HEALTH_ATOL)
+    if not ok.all():
+        k = np.unravel_index(np.argmin(ok), ok.shape)
+        raise NumericalHealthError(
+            f"state at {' '.join([where, *map(str, k)])} violates density-operator invariants "
+            f"(herm {herm[k]:.2e}, trace dev {dev[k]:.2e}, min eig {evals[k][0]:.2e})")
+    return evals[..., ::-1].copy()
 
 
 def random_density(n: int, seed: int) -> DensityOperator:

@@ -388,7 +388,7 @@ def _schedulable(system, trotter_steps: int):
     if noise_idx is None:
         raise ConfigurationError("system lacks switchable bit-flip noise on the terminal qubit")
     h0 = as_matrix(system.h0)
-    if np.abs(h0 - np.diag(np.diag(h0))).max() > 1e-12:
+    if np.abs(h0 - np.diag(np.diag(h0))).max() > 1e-12 * np.abs(h0).max():
         raise ConfigurationError("scheduler requires a diagonal drift Hamiltonian")
     return noise_idx, np.real(np.diag(h0))
 

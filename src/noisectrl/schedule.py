@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import NumericalHealthError
 from .lindblad import assemble_liouvillian, pauli_basis, propagator
-from .qops import _density, sorted_spectrum, unvec, vec
+from .qops import _density, _health_spectra, unvec, vec
 
 __all__ = ["UnitarySegment", "HoldSegment", "Schedule", "propagate_schedule"]
 
@@ -78,15 +77,20 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
     ``vec(rho)``.  Hold propagators are memoized on (amplitudes, duration),
     which collapses the cost of the long repetitive decoupling trains; each
     is exponentiated in the real Pauli basis and taken to the column-stacked
-    basis once, when it enters the memo.  ``rho0`` must be a valid DensityOperator.
+    basis once, when it enters the memo.  ``rho0`` must be a valid
+    DensityOperator of the system's dimension.  Every recorded state, or the
+    final one, passes ``qops._health_spectra``, which names the first bad boundary.
     """
     rho = _density(rho0).matrix
+    if len(rho) != system.dim:
+        raise ValueError(f"rho0 dimension {len(rho)} does not match "
+                         f"the system dimension {system.dim}")
     basis = pauli_basis(system.n)
     cache: dict = {}
     times = [0.0]
-    spectra = [sorted_spectrum(rho)] if record else None
+    spectra = [_health_spectra(rho, "segment boundary 0")] if record else None
     t = 0.0
-    for seg in schedule.segments:
+    for i, seg in enumerate(schedule.segments, 1):
         if isinstance(seg, UnitarySegment):
             rho = seg.unitary @ rho @ seg.unitary.conj().T
             t += seg.charged_duration
@@ -101,10 +105,10 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
             t += seg.duration
         if record:
             times.append(t)
-            spectra.append(sorted_spectrum(rho))
+            spectra.append(_health_spectra(rho, f"segment boundary {i}"))
+    if not record:
+        _health_spectra(rho, f"segment boundary {len(schedule)}")
     rho = (rho + rho.conj().T) / 2
-    if not abs(np.trace(rho).real - 1.0) <= 1e-8:    # a NaN state fails too
-        raise NumericalHealthError("schedule propagation lost trace normalization")
     if record:
         return rho, np.array(times), np.array(spectra)
     return rho

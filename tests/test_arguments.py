@@ -194,8 +194,10 @@ def test_invalid_state_raises_value_error(call, state, message):
     (lambda: reach.plan_state_transfer(np.full(2, 0.5), models.zero_state(1), gamma_star=5.0),
      "square matrix"),
     (lambda: lindblad.assemble_liouvillian(_CHAIN, np.zeros(3), [0.0]), "control shape"),
+    (lambda: schedule.propagate_schedule(_CHAIN, schedule.Schedule(), models.zero_state(1)),
+     "rho0 dimension 2 does not match the system dimension 4"),
 ], ids=["sorted_spectrum", "DensityOperator", "TransferProblem", "propagate_schedule",
-        "plan_state_transfer", "assemble_liouvillian"])
+        "plan_state_transfer", "assemble_liouvillian", "propagate_schedule-dimension"])
 def test_wrong_shape_array_raises_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from noisectrl.lindblad import assemble_liouvillian, pauli_basis, propagator
 from noisectrl.models import (Control, ControlSystem, Noise, ghz_state, ion_trap_model,
                               ising_chain, thermal_state, zero_state)
 from noisectrl.qops import unvec, vec
-from noisectrl.reach import lie_closure_dimension
+from noisectrl.reach import _schedulable, lie_closure_dimension
 
 
 class TestIsingChain:
@@ -84,6 +86,23 @@ def test_nan_rates_are_rejected(gamma_max, rate):
     with pytest.raises(ConfigurationError):
         ControlSystem(n=1, h0=np.zeros((2, 2)), controls=(),
                       noises=(Noise("v", op, gamma_max),), background_noises=((op, rate),))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e5])
+def test_operator_thresholds_are_relative_to_scale(scale):
+    # a unitary round trip leaves rounding in proportion to the operator's
+    # scale: 1.6e-11 asymmetry and 9.8e-11 off-diagonal entries at 1e5
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    energies = scale * np.array([1.0, 2.0, 3.0, 4.0])
+    drift = q @ np.diag(energies) @ q.conj().T
+    chain = ising_chain(2, noise_kind="bitflip")
+    dataclasses.replace(chain, h0=drift)
+    diagonal = q.conj().T @ drift @ q
+    diagonal = (diagonal + diagonal.conj().T) / 2    # Hermitian, not diagonal
+    noise_idx, found = _schedulable(dataclasses.replace(chain, h0=diagonal), 8)
+    assert noise_idx == 0
+    np.testing.assert_allclose(found, energies, rtol=1e-12)
 
 
 class TestIonTrap:

@@ -75,12 +75,23 @@ class TestPropagate:
         with pytest.raises(NumericalHealthError, match="slice 1 violates"):
             propagate(problem, zero_sequence(problem))
 
+    def test_non_finite_propagators_are_a_numerical_failure(self, monkeypatch):
+        system = ising_chain(2, gamma_star=5.0)
+        problem = TransferProblem(system, zero_state(2), thermal_state(2), 1.0, 4)
+        exact = _expm.expm
+        monkeypatch.setattr(_expm, "expm",
+                            lambda a: exact(a) * np.array([1, 1, np.nan, 1])[:, None, None])
+        with pytest.raises(NumericalHealthError, match="slice 3 violates .*herm nan"):
+            propagate(problem, zero_sequence(problem))
+
     def test_rejects_gamma_outside_bounds(self):
         system = ising_chain(1, gamma_star=5.0)
         problem = TransferProblem(system, zero_state(1), thermal_state(1), 1.0, 4)
         seq = ControlSequence(dt=0.25, u=np.zeros((4, 2)), gamma=np.full((4, 1), 6.0))
         with pytest.raises(ValueError):
             propagate(problem, seq)
+        with pytest.raises(ValueError, match="not a finite number in"):
+            optimize(problem, seq)    # L-BFGS-B would clip the start into its bounds
 
 
 def test_problem_rejects_non_hermitian_states():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisectrl import _expm
 from noisectrl.exceptions import NumericalHealthError
 from noisectrl.lindblad import assemble_liouvillian, pauli_basis, propagator
-from noisectrl.models import ising_chain
+from noisectrl.models import ising_chain, zero_state
 from noisectrl.qops import random_density, sorted_spectrum, unvec, vec
 from noisectrl.schedule import (HoldSegment, Schedule, UnitarySegment,
                                 propagate_schedule)
@@ -74,9 +75,20 @@ class TestPropagateSchedule:
             HoldSegment(u=hold.u, gamma=hold.gamma, duration=0.5),)), rho0)
         np.testing.assert_allclose(train, single, rtol=0, atol=1e-12)
 
-    def test_non_finite_unitary_is_a_numerical_failure(self):
-        # NaN fails the final trace test, which is written so that it does
+    @pytest.mark.parametrize("record", [False, True])
+    def test_non_finite_unitary_is_a_numerical_failure(self, record):
+        # a NaN state fails the health check whether or not states are recorded
         system = ising_chain(1, noise_kind="bitflip")
         bad = Schedule(segments=(UnitarySegment(np.full((2, 2), np.nan)),))
         with pytest.raises(NumericalHealthError, match="trace"):
-            propagate_schedule(system, bad, random_density(1, 5))
+            propagate_schedule(system, bad, random_density(1, 5), record=record)
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_trace_losing_propagators_are_a_numerical_failure(self, monkeypatch, record):
+        system = ising_chain(2, gamma_star=5.0)
+        exact = _expm.expm
+        monkeypatch.setattr(_expm, "expm", lambda a: 0.999 * exact(a))
+        hold = HoldSegment(u=np.zeros(4), gamma=np.zeros(1), duration=0.1)
+        with pytest.raises(NumericalHealthError, match="segment boundary 1 violates"):
+            propagate_schedule(system, Schedule(segments=(hold,)), zero_state(2),
+                               record=record)
