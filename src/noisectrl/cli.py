@@ -28,8 +28,8 @@ import numpy as np
 
 from . import lindblad, models, optim, protocols, reach
 from .exceptions import ConfigurationError, NumericalHealthError, ReachabilityError, check
-from .qops import (SIGMA_MINUS, SIGMA_X, DensityOperator, as_matrix, frobenius_error,
-                   random_density, sorted_spectrum, vec)
+from .qops import (DensityOperator, as_matrix, frobenius_error, random_density,
+                   sorted_spectrum, vec)
 from .schedule import HoldSegment, Schedule, propagate_schedule
 
 MODES = ("simulate", "optimize", "hlp", "protocol", "controllability", "majorize")
@@ -46,9 +46,8 @@ EXIT_REACHABILITY = 4
 _REQUIRED = object()
 _STATES = {"thermal": models.thermal_state, "zero": models.zero_state,
            "ghz": models.ghz_state, "random": random_density}
-# each protocol's noise kind and its local operator, switchable on the last qubit
-_PROTOCOL_NOISE = {"init": ("amp", SIGMA_MINUS), "erase_amp": ("amp", SIGMA_MINUS),
-                   "erase_bitflip": ("bitflip", SIGMA_X / 2)}
+# each protocol's noise (a name in models.NOISE_THETA), switchable on the last qubit
+_PROTOCOL_NOISE = {"init": "amp", "erase_amp": "amp", "erase_bitflip": "bitflip"}
 
 
 def _fmt(x: float) -> str:
@@ -120,7 +119,7 @@ def load(config, mode: str | None = None, seed: int | None = None):
             noise = sec.get("noise", "amp")
             if isinstance(noise, dict):
                 noise = _get(noise, "theta", float)
-            elif noise not in ("amp", "bitflip"):
+            elif noise not in list(models.NOISE_THETA):    # a list: unhashable noise too
                 raise ValueError(f"unknown noise {noise!r}")
             if model == "ion_trap":
                 system = models.ion_trap_model(gamma_star=gamma_star)
@@ -218,8 +217,8 @@ def load(config, mode: str | None = None, seed: int | None = None):
             if kind not in _PROTOCOL_NOISE:
                 raise ValueError(f"unknown kind {kind!r}")
             # the closed forms hold only for their own noise on the last qubit
-            noise, local = _PROTOCOL_NOISE[kind]
-            if reach._terminal_noise(system, local) is None:
+            noise = _PROTOCOL_NOISE[kind]
+            if reach._terminal_noise(system, models.NOISE_THETA[noise]) is None:
                 raise ValueError(f"{kind!r} needs {noise} noise on the last qubit, "
                                  f"system has {system.noises[0].label!r}")
             noise_time = _get(sec, "noise_time", float,
@@ -273,17 +272,17 @@ def _write_result(path: Path, payload: dict):
 
 
 # ---------------------------------------------------------------------------
-# mode runners: each takes what load() built, never the raw config
+# mode runners: each takes what load() built, never the raw config, writes
+# its CSV artifacts and returns the payload of result.json
 
 def _run_transfer(built, out):
     """simulate and optimize: propagate the given or the optimized sequence."""
     problem = built["problem"]
-    result = {"seed": built["seed"], "duration": problem.total_time}
+    result = {"duration": problem.total_time}
     if "optimizer" in built:
         best, finals = optim.optimize_restarts(problem, **built["optimizer"])
         seq = best.sequence
         result.update({
-            "mode": "optimize",
             "final_error": best.final_error,
             "converged": bool(best.converged),
             "iterations": int(best.iterations),
@@ -298,9 +297,8 @@ def _run_transfer(built, out):
     _write_trajectory(out / "trajectory.csv", traj.times, traj.sorted_eigenvalues, errors)
     _write_slices(out / "sequence.csv", problem.system, seq)
     if "optimizer" not in built:
-        result.update({"mode": "simulate", "final_error": errors[-1], "slices": problem.slices})
-    _write_result(out / "result.json", result)
-    return EXIT_OK
+        result.update({"final_error": errors[-1], "slices": problem.slices})
+    return result
 
 
 def _run_schedule(out, system, schedule, rho0, target_spectrum):
@@ -321,7 +319,6 @@ def _run_hlp(built, out):
                                      gamma_star=system.gamma_bounds.max(),
                                      residual_target=hl["residual_target"])
     payload = {
-        "mode": "hlp", "seed": built["seed"],
         "total_dissipative_time": plan.total_dissipative_time,
         "predicted_residual": plan.predicted_residual,
         "steps": [{"pair": list(s.pair), "lambda": s.lam, "tau": s.tau, "eps": s.eps,
@@ -340,8 +337,7 @@ def _run_hlp(built, out):
             "predicted_executed_spectrum": [
                 float(v) for v in reach.predict_executed_spectrum(plan, system, trotter)],
         })
-    _write_result(out / "result.json", payload)
-    return EXIT_OK
+    return payload
 
 
 def _run_protocol(built, out):
@@ -358,40 +354,35 @@ def _run_protocol(built, out):
         report = protocols.erase_protocol_bitflip(n, gamma_star, coupling,
                                                   pr["noise_time"], charge)
     rho_f = _run_schedule(out, system, report.schedule, rho0, sorted_spectrum(target))
-    _write_result(out / "result.json", {
-        "mode": "protocol", "seed": built["seed"], "kind": kind,
+    return {
+        "kind": kind,
         "formula_id": report.formula_id,
         "predicted_error": report.predicted_error,
         "simulated_error": frobenius_error(vec(rho_f), vec(as_matrix(target))),
         "predicted_duration": report.predicted_duration,
         "swap_count": math.comb(n, 2),
-    })
-    return EXIT_OK
+    }
 
 
 def _run_controllability(built, out):
     system = built["system"]
     dim = reach.lie_closure_dimension([system.h0] + [c.operator for c in system.controls])
     required = system.dim ** 2 - 1
-    _write_result(out / "result.json", {
-        "mode": "controllability", "seed": built["seed"],
+    return {
         "lie_closure_dimension": int(dim),
         "required_for_full_control": int(required),
         "fully_controllable": bool(dim == required),
-    })
-    return EXIT_OK
+    }
 
 
 def _run_majorize(built, out):
     y, x = sorted_spectrum(built["initial"]), sorted_spectrum(built["target"])
-    _write_result(out / "result.json", {
-        "mode": "majorize", "seed": built["seed"],
+    return {
         "target_majorised_by_initial": bool(reach.majorises(x, y)),
         "initial_spectrum": [float(v) for v in y],
         "target_spectrum": [float(v) for v in x],
         "partial_sum_slack": [float(v) for v in np.cumsum(y) - np.cumsum(x)],
-    })
-    return EXIT_OK
+    }
 
 
 _RUNNERS = {
@@ -437,7 +428,10 @@ def main(argv=None) -> int:
 
         out = args.out if args.out is not None else built["out"]
         out.mkdir(parents=True, exist_ok=True)
-        return _RUNNERS[args.command](built, out)
+        payload = _RUNNERS[args.command](built, out)
+        _write_result(out / "result.json",
+                      {**payload, "mode": args.command, "seed": built["seed"]})
+        return EXIT_OK
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

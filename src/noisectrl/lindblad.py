@@ -45,14 +45,13 @@ import numpy as np
 
 from . import _expm
 from .exceptions import NumericalHealthError, check
-from .qops import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix
+from .qops import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix
 
 __all__ = [
     "commutator_superop", "dissipator_superop", "pauli_basis",
     "liouvillians", "assemble_liouvillian",
     "propagator",
-    "v_theta", "theta_generator", "theta_channel_exact",
-    "ThetaChannelParams", "diag_channel_theta",
+    "v_theta", "theta_generator", "theta_channel_exact", "diag_channel_theta",
     "BathParams", "heat_bath_generator",
     "trotter_decoupled_propagator",
 ]
@@ -264,8 +263,9 @@ def propagator(ell: np.ndarray, dt: float) -> np.ndarray:
 # one-parameter noise family  V_theta = [[0, 1-theta], [theta, 0]]
 
 def v_theta(theta: float) -> np.ndarray:
-    """Interpolating Lindblad generator: amplitude damping at theta=0,
-    bit flip (sigma_x/2) at theta=1/2."""
+    """Lindblad operator [[0, 1-theta], [theta, 0]], from which every noise
+    operator is built: sigma- (amplitude damping) at theta = 0, sigma_x/2
+    (bit flip) at 1/2 and sigma+ at 1, each equal to that literal bit for bit."""
     theta = check("theta", theta, rule=(0, 1))
     return np.array([[0.0, 1.0 - theta], [theta, 0.0]], dtype=complex)
 
@@ -298,31 +298,17 @@ def theta_channel_exact(theta: float, gamma_t: float) -> np.ndarray:
     ], dtype=complex)
 
 
-@dataclass(frozen=True)
-class ThetaChannelParams:
-    """Parameters of the diagonal-action theta channel."""
-
-    theta: float
-    gamma_star: float
-    t: float
-
-    def __post_init__(self):
-        check("theta", self.theta, rule=(0, 1))
-        check("gamma_star", self.gamma_star, rule="positive")
-        check("t", self.t, rule="nonnegative")
-
-
-def diag_channel_theta(params: ThetaChannelParams, n: int) -> np.ndarray:
+def diag_channel_theta(theta: float, gamma_t: float, n: int) -> np.ndarray:
     """Action of the theta channel on the diagonal of an n-qubit state.
 
-    Returns the 2^n x 2^n stochastic matrix R_theta(t) = 1^(n-1) kron B with
+    Returns the 2^n x 2^n stochastic matrix R_theta = 1^(n-1) kron B with
     the single-qubit block B acting on each population pair: the population
-    corners of :func:`theta_channel_exact`.  theta=0 gives the
-    amplitude-damping block (column stochastic), theta=1/2 the bit-flip
-    averaging block (doubly stochastic).
+    corners of :func:`theta_channel_exact` at the same ``gamma_t`` (rate x
+    time).  theta=0 gives the amplitude-damping block (column stochastic),
+    theta=1/2 the bit-flip averaging block (doubly stochastic).
     """
     check("n", n, int, 1)
-    exact = theta_channel_exact(params.theta, params.gamma_star * params.t)
+    exact = theta_channel_exact(theta, gamma_t)
     return np.kron(np.eye(2 ** (n - 1)), exact[np.ix_([0, 3], [0, 3])].real)
 
 
@@ -363,16 +349,16 @@ class BathParams:
 def heat_bath_generator(params: BathParams) -> np.ndarray:
     """Finite-temperature relaxation superoperator for one qubit.
 
-    gamma (1 +/- n) Gamma_hat(sigma-) + gamma n Gamma_hat(sigma+), with the
-    plus sign for bosons and minus for fermions.  At beta -> inf only the
-    lowering term survives (pure amplitude damping); the fermionic beta -> 0
-    limit is proportional to the joint {sigma+, sigma-} generator.
+    gamma (1 +/- n) Gamma_hat(V_0) + gamma n Gamma_hat(V_1), V_0 = sigma- and
+    V_1 = sigma+, with the plus sign for bosons and minus for fermions.  At
+    beta -> inf only the lowering term survives (pure amplitude damping);
+    the fermionic beta -> 0 limit is proportional to the joint
+    {sigma+, sigma-} generator.
     """
     n_occ = params.occupation()
     sign = 1.0 if params.statistics == "bosonic" else -1.0
-    down = dissipator_superop(SIGMA_MINUS)
-    up = dissipator_superop(SIGMA_PLUS)
-    return params.gamma * ((1.0 + sign * n_occ) * down + n_occ * up)
+    return params.gamma * ((1.0 + sign * n_occ) * theta_generator(0.0)
+                           + n_occ * theta_generator(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +378,7 @@ def trotter_decoupled_propagator(h02, gamma: float, t: float, k: int) -> np.ndar
     m = as_matrix(h02)
     n_rest = m.shape[0]
     coupling = np.kron(m, np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
-    gam = gamma * dissipator_superop(np.kron(np.eye(n_rest), SIGMA_X / 2))
+    gam = gamma * dissipator_superop(np.kron(np.eye(n_rest), v_theta(0.5)))
     h_hat = commutator_superop(coupling)
     h = t / (2 * k)
     halves = _expm.expm(np.array([-h * (gam + 1j * h_hat), -h * (gam - 1j * h_hat)]))

@@ -15,13 +15,16 @@ import numpy as np
 
 from .exceptions import ConfigurationError, NumericalHealthError, check
 from .lindblad import _generator_stack, v_theta
-from .qops import DensityOperator, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, embed_local
+from .qops import DensityOperator, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, embed_local
 
 __all__ = [
-    "Control", "Noise", "ControlSystem",
+    "NOISE_THETA", "Control", "Noise", "ControlSystem",
     "ising_chain", "ion_trap_model",
     "ghz_state", "thermal_state", "zero_state",
 ]
+
+# the named switchable noises: theta of their operator V_theta (lindblad.v_theta)
+NOISE_THETA = {"amp": 0.0, "bitflip": 0.5}
 
 
 @dataclass(frozen=True)
@@ -121,10 +124,10 @@ def ising_chain(n: int, coupling: float = 1.0, noise_kind="amp",
                 dephasing: float | None = None) -> ControlSystem:
     """Ising-ZZ chain with local x/y controls and one switchable noise channel.
 
-    ``noise_kind`` is ``"amp"``, ``"bitflip"`` or a float theta in [0, 1]
-    selecting the interpolating generator.  The noisy site defaults to the
-    last qubit.  ``dephasing`` adds a constant sigma_z/2 background channel
-    on every qubit at the given rate.
+    ``noise_kind`` is a name in :data:`NOISE_THETA` (``"amp"``, ``"bitflip"``)
+    or a float theta in [0, 1]; either selects V_theta.  The noisy site
+    defaults to the last qubit.  ``dephasing`` adds a constant sigma_z/2
+    background channel on every qubit at the given rate.
     """
     check("n", n, int, 1)
     check("coupling", coupling)
@@ -137,15 +140,12 @@ def ising_chain(n: int, coupling: float = 1.0, noise_kind="amp",
         controls.append(Control(f"y{q}", embed_local(SIGMA_Y / 2, q, n)))
 
     if isinstance(noise_kind, str):
-        if noise_kind == "amp":
-            local, kind = SIGMA_MINUS, "amp"
-        elif noise_kind == "bitflip":
-            local, kind = SIGMA_X / 2, "bitflip"
-        else:
+        if noise_kind not in NOISE_THETA:
             raise ValueError(f"unknown noise kind {noise_kind!r}")
+        theta, kind = NOISE_THETA[noise_kind], noise_kind
     else:
-        local, kind = v_theta(noise_kind), "theta"
-    noise = Noise(f"{kind}{noisy_site}", embed_local(local, noisy_site, n), gamma_star)
+        theta, kind = noise_kind, "theta"
+    noise = Noise(f"{kind}{noisy_site}", embed_local(v_theta(theta), noisy_site, n), gamma_star)
 
     background = ()
     if dephasing is not None and check("dephasing", dephasing, rule="nonnegative") > 0:
@@ -171,7 +171,7 @@ def ion_trap_model(gamma_star: float = 5.0) -> ControlSystem:
     controls = [Control(f"z{q}", embed_local(SIGMA_Z / 2, q, n)) for q in range(1, n + 1)]
     controls += [Control("Fx", fx), Control("Fy", fy),
                  Control("Fx2", fx @ fx), Control("Fy2", fy @ fy)]
-    noise = Noise(f"amp{n}", embed_local(SIGMA_MINUS, n, n), gamma_star)
+    noise = Noise(f"amp{n}", embed_local(v_theta(NOISE_THETA["amp"]), n, n), gamma_star)
     return ControlSystem(n=n, h0=np.zeros((2 ** n, 2 ** n), dtype=complex),
                          controls=tuple(controls), noises=(noise,))
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import _expm
 from .exceptions import ConfigurationError, ReachabilityError, check
-from .qops import SIGMA_X, DensityOperator, _density, as_matrix, embed_local
+from .lindblad import v_theta
+from .qops import DensityOperator, _density, as_matrix, embed_local
 from .schedule import HoldSegment, Schedule, UnitarySegment
 
 __all__ = [
@@ -87,36 +88,32 @@ def _check_switch(rho_ii, rho_jj, gamma_star, tau) -> None:
 
 
 def switch_time_amp(rho_ii: float, rho_jj: float, gamma_star: float, tau: float) -> float:
-    """Permutation instant that neutralises an amplitude-damping transfer.
+    """Permutation instant that neutralises an amplitude-damping transfer:
+    :func:`switch_time_theta` at theta = 0.
 
     Permuting the pair at this time and letting damping act for the
     remaining tau - tau_ij restores the pair up to a swap.
     """
-    _check_switch(rho_ii, rho_jj, gamma_star, tau)
-    return float(np.log((rho_ii * np.exp(gamma_star * tau) + rho_jj)
-                        / (rho_ii + rho_jj)) / gamma_star)
+    return switch_time_theta(rho_ii, rho_jj, 0.0, gamma_star, tau)
 
 
 def theta_pair_admissible(rho_ii: float, rho_jj: float, theta: float) -> bool:
-    """Pairing condition theta^2/(1-theta)^2 <= rho_ii/rho_jj <= its inverse."""
+    """Pairing condition theta^2/(1-theta)^2 <= rho_ii/rho_jj <= its inverse,
+    multiplied out: symmetric in the pair, and true for every pair at theta = 0."""
     check("theta", theta, rule=(0, 0.5, "[)"))
     check("rho_ii", rho_ii, rule="nonnegative")
     check("rho_jj", rho_jj, rule="nonnegative")
-    tb = 1.0 - theta
-    lo, hi = theta ** 2 / tb ** 2, tb ** 2 / theta ** 2 if theta > 0 else np.inf
-    if rho_jj == 0:
-        return rho_ii == 0
-    r = rho_ii / rho_jj
-    return bool(lo <= r <= hi)
+    t2, tb2 = theta ** 2, (1.0 - theta) ** 2
+    return bool(t2 * rho_jj <= tb2 * rho_ii and t2 * rho_ii <= tb2 * rho_jj)
 
 
 def switch_time_theta(rho_ii: float, rho_jj: float, theta: float,
                       gamma_star: float, tau: float) -> float:
     """Generalised switch time for the interpolating noise V_theta.
 
-    Reduces to :func:`switch_time_amp` at theta = 0 and is meaningful
-    (in [0, tau]) exactly when the evolved pair stays admissible.  The
-    formula degenerates at theta = 1/2.
+    :func:`switch_time_amp` is its theta = 0 case.  It is meaningful (in
+    [0, tau]) exactly when the evolved pair stays admissible.  The formula
+    degenerates at theta = 1/2.
     """
     check("theta", theta, rule=(0, 0.5, "[)"))
     _check_switch(rho_ii, rho_jj, gamma_star, tau)
@@ -311,8 +308,8 @@ def hlp_plan(y, x, gamma_star: float, residual_target: float = 1e-4) -> HlpPlan:
         if residual(hi) <= residual_target:
             eps_floor = hi
         else:
-            for _ in range(200):
-                mid = np.sqrt(lo * hi)
+            # until lo and hi are neighbours in floating point, where neither can move
+            while lo < (mid := np.sqrt(lo * hi)) < hi:
                 if residual(mid) <= residual_target:
                     lo = mid
                 else:
@@ -371,10 +368,10 @@ def _protection_unitary(dim: int) -> np.ndarray:
     return out
 
 
-def _terminal_noise(system, local=SIGMA_X / 2):
-    """Index of the switchable noise that is ``local`` (bit flip unless
-    given) on the last qubit, or None when the system has none."""
-    expected = embed_local(local, system.n, system.n)
+def _terminal_noise(system, theta: float = 0.5):
+    """Index of the switchable noise that is V_theta on the last qubit (bit
+    flip, theta = 1/2, unless given), or None when the system has none."""
+    expected = embed_local(v_theta(theta), system.n, system.n)
     for idx, noise in enumerate(system.noises):
         if np.allclose(as_matrix(noise.operator), expected, atol=1e-12):
             return idx

@@ -44,10 +44,6 @@ def _bath(**kw):
     return lindblad.heat_bath_generator(lindblad.BathParams("bosonic", **kw))
 
 
-def _theta_channel(n, **kw):
-    return lindblad.diag_channel_theta(lindblad.ThetaChannelParams(**kw), n)
-
-
 # (function, baseline keyword arguments, {argument: accepted swept values})
 TABLE = [
     (qops.embed_local, dict(op=qops.SIGMA_X, site=1, n=3), {"site": "", "n": ""}),
@@ -64,8 +60,8 @@ TABLE = [
     (lindblad.v_theta, dict(theta=0.2), {"theta": "0"}),
     (lindblad.theta_channel_exact, dict(theta=0.2, gamma_t=1.0),
      {"theta": "0", "gamma_t": "0 2.5"}),
-    (_theta_channel, dict(n=1, theta=0.2, gamma_star=5.0, t=1.0),
-     {"n": "", "theta": "0", "gamma_star": "2.5", "t": "0 2.5"}),
+    (lindblad.diag_channel_theta, dict(theta=0.2, gamma_t=5.0, n=1),
+     {"theta": "0", "gamma_t": "0 2.5", "n": ""}),
     (_bath, dict(beta=1.0, omega0=1.0, gamma=1.0),
      {"beta": "inf 2.5", "omega0": "2.5", "gamma": "2.5"}),
     (lindblad.trotter_decoupled_propagator, dict(h02=np.diag([1.0, -1.0]), gamma=1.0, t=1.0, k=2),

@@ -5,8 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from noisectrl import _expm, lindblad, reach
 from noisectrl.exceptions import NumericalHealthError
-from noisectrl.lindblad import (BathParams, ThetaChannelParams,
-                                assemble_liouvillian, commutator_superop,
+from noisectrl.lindblad import (BathParams, assemble_liouvillian, commutator_superop,
                                 diag_channel_theta, dissipator_superop,
                                 heat_bath_generator, pauli_basis, propagator,
                                 theta_channel_exact, theta_generator,
@@ -431,27 +430,23 @@ class TestPropagator:
 
 class TestDiagChannelTheta:
     def test_full_damping(self):
-        params = ThetaChannelParams(theta=0.0, gamma_star=1.0, t=60.0)
-        np.testing.assert_allclose(diag_channel_theta(params, 1),
+        np.testing.assert_allclose(diag_channel_theta(0.0, 60.0, 1),
                                    [[1, 1], [0, 0]], atol=1e-12)
 
     def test_full_averaging(self):
-        params = ThetaChannelParams(theta=0.5, gamma_star=1.0, t=120.0)
-        np.testing.assert_allclose(diag_channel_theta(params, 1),
+        np.testing.assert_allclose(diag_channel_theta(0.5, 120.0, 1),
                                    [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
     def test_quarter_theta_fixed_column(self):
         # c_theta = 1.6 puts the stationary populations at (0.9, 0.1)
-        params = ThetaChannelParams(theta=0.25, gamma_star=1.0, t=200.0)
-        block = diag_channel_theta(params, 1)
+        block = diag_channel_theta(0.25, 200.0, 1)
         np.testing.assert_allclose(block[:, 0], [0.9, 0.1], atol=1e-12)
         np.testing.assert_allclose(block[:, 1], [0.9, 0.1], atol=1e-12)
 
     @pytest.mark.parametrize("theta", [0.0, 0.2, 0.5, 0.7])
     @pytest.mark.parametrize("t", [0.1, 1.0, 4.0])
     def test_stochasticity(self, theta, t):
-        params = ThetaChannelParams(theta=theta, gamma_star=2.0, t=t)
-        r = diag_channel_theta(params, 2)
+        r = diag_channel_theta(theta, 2.0 * t, 2)
         np.testing.assert_allclose(r.sum(axis=0), 1.0, atol=1e-12)
         if theta == 0.5:
             np.testing.assert_allclose(r.sum(axis=1), 1.0, atol=1e-12)
@@ -460,8 +455,7 @@ class TestDiagChannelTheta:
         # populations of the full channel and a convex split into
         # damping plus averaging parts, as the generalisation states
         theta, gs, t = 0.3, 2.0, 0.8
-        params = ThetaChannelParams(theta=theta, gamma_star=gs, t=t)
-        block = diag_channel_theta(params, 1)
+        block = diag_channel_theta(theta, gs * t, 1)
         x = theta_channel_exact(theta, gs * t)
         np.testing.assert_allclose(block, x[np.ix_([0, 3], [0, 3])].real, atol=1e-12)
         tb = 1 - theta
@@ -561,5 +555,7 @@ def test_theta_fixed_point_annihilated():
 
 
 def test_v_theta_endpoints():
-    np.testing.assert_allclose(v_theta(0.0), SIGMA_MINUS)
-    np.testing.assert_allclose(v_theta(0.5), SIGMA_X / 2)
+    # bit for bit: the named noises are built from v_theta and must not move
+    for theta, literal in ((0.0, SIGMA_MINUS), (0.5, SIGMA_X / 2), (1.0, SIGMA_PLUS)):
+        assert v_theta(theta).dtype == literal.dtype
+        assert v_theta(theta).tobytes() == literal.tobytes()

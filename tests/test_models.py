@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from noisectrl.exceptions import ConfigurationError, NumericalHealthError
-from noisectrl.lindblad import assemble_liouvillian, pauli_basis, propagator
+from noisectrl.lindblad import assemble_liouvillian, pauli_basis, propagator, v_theta
 from noisectrl.models import (Control, ControlSystem, Noise, ghz_state, ion_trap_model,
                               ising_chain, thermal_state, zero_state)
-from noisectrl.qops import unvec, vec
+from noisectrl.qops import SIGMA_MINUS, SIGMA_X, embed_local, unvec, vec
 from noisectrl.reach import _schedulable, lie_closure_dimension
 
 
@@ -40,6 +40,22 @@ class TestIsingChain:
         assert ising_chain(2, noise_kind=0.25).noises[0].label == "theta2"
         with pytest.raises(ValueError):
             ising_chain(2, noise_kind="depolarize")
+
+    @pytest.mark.parametrize("build, theta, site, literal, label", [
+        (lambda: ising_chain(3, noise_kind="amp"), 0.0, 3, SIGMA_MINUS, "amp3"),
+        (lambda: ising_chain(3, noise_kind="bitflip"), 0.5, 3, SIGMA_X / 2, "bitflip3"),
+        (lambda: ising_chain(3, noise_kind=0.25, noisy_site=2), 0.25, 2,
+         np.array([[0.0, 0.75], [0.25, 0.0]], dtype=complex), "theta2"),
+        (ion_trap_model, 0.0, 4, SIGMA_MINUS, "amp4"),
+    ], ids=["amp", "bitflip", "theta", "ion-trap"])
+    def test_every_noise_is_v_theta_bit_for_bit(self, build, theta, site, literal, label):
+        system = build()
+        (noise,) = system.noises
+        assert noise.label == label
+        for local in (v_theta(theta), literal):
+            expected = embed_local(local, site, system.n)
+            assert noise.operator.dtype == expected.dtype
+            assert noise.operator.tobytes() == expected.tobytes()
 
     def test_invalid_site(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from noisectrl import _expm, reach
 from noisectrl.exceptions import ConfigurationError, ReachabilityError
-from noisectrl.lindblad import ThetaChannelParams, diag_channel_theta
+from noisectrl.lindblad import diag_channel_theta
 from noisectrl.models import ising_chain, thermal_state
 from noisectrl.qops import DensityOperator, frobenius_error, random_density, sorted_spectrum, vec
 from noisectrl.reach import (beta_of_theta, fixed_point_theta,
@@ -114,6 +114,11 @@ class TestSwitchTimes:
         assert not theta_pair_admissible(10.0, 1.0, 0.25)
         assert theta_pair_admissible(1.0, 9.0, 0.25)
         assert not theta_pair_admissible(1.0, 10.0, 0.25)
+        # at theta = 0 every pair is admissible, an empty level too: damping
+        # moves (1, 0) nowhere, so its switch instant is tau itself
+        assert theta_pair_admissible(1.0, 0.0, 0.0) and theta_pair_admissible(0.0, 1.0, 0.0)
+        assert not theta_pair_admissible(1.0, 0.0, 0.25)
+        assert np.isclose(switch_time_theta(1.0, 0.0, 0.0, 2.0, 1.5), 1.5)
 
     def test_switch_time_in_window_iff_admissible(self):
         # admissibility is invariant along the evolution once it holds, and
@@ -126,8 +131,7 @@ class TestSwitchTimes:
             tij = switch_time_theta(a, b, theta, gamma, tau)
             if theta_pair_admissible(a, b, theta):
                 assert -1e-9 <= tij <= tau + 1e-9
-                params = ThetaChannelParams(theta=theta, gamma_star=gamma, t=tau)
-                evolved = diag_channel_theta(params, 1) @ np.array([a, b])
+                evolved = diag_channel_theta(theta, gamma * tau, 1) @ np.array([a, b])
                 assert theta_pair_admissible(evolved[0], evolved[1], theta)
             else:
                 assert tij < -1e-9 or tij > tau + 1e-9
@@ -135,6 +139,14 @@ class TestSwitchTimes:
     def test_half_theta_rejected(self):
         with pytest.raises(ValueError):
             switch_time_theta(0.5, 0.5, 0.5, 1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.0, 1e6), b=st.floats(0.0, 1e6),
+       theta=st.floats(0.0, 0.5, exclude_max=True))
+@example(a=1.0, b=0.0, theta=0.0)
+def test_admissibility_is_symmetric_in_the_pair(a, b, theta):
+    assert theta_pair_admissible(a, b, theta) == theta_pair_admissible(b, a, theta)
 
 
 class TestFixedPointAndTemperature:
@@ -217,8 +229,7 @@ class TestHlpPlan:
         lam = 0.8
         gamma = 3.0
         tau = -2.0 / gamma * np.log(2 * lam - 1)
-        params = ThetaChannelParams(theta=0.5, gamma_star=gamma, t=tau)
-        block = diag_channel_theta(params, 1)
+        block = diag_channel_theta(0.5, gamma * tau, 1)
         np.testing.assert_allclose(block @ np.array([1.0, 0.0]),
                                    [lam, 1 - lam], atol=1e-12)
 
