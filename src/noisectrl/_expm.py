@@ -9,12 +9,16 @@ members that still need it, so one large-amplitude member does not
 over-scale its neighbours.  Generators here are non-normal Liouvillians, so
 spectral decomposition is deliberately not used.
 
-:func:`expm` is the package's only matrix exponential and
-:func:`expm_frechet` its only Frechet derivative; both share one Pade
-evaluation, one squaring loop and one set of checks, and are looked up as
-``_expm.expm`` and ``_expm.expm_frechet`` at call time.  Non-finite,
-singular or overflowing cases raise :class:`NumericalHealthError` (CLI
-exit 3); non-square or mismatched input ``ValueError``.
+:func:`expm` is the package's only matrix exponential and Frechet
+derivative, looked up as ``_expm.expm`` at call time.  Asked for the
+derivative, it keeps each chunk's Pade state (the scaling exponents, the
+scaled powers x, x^2, x^4, x^6 and w, the Pade denominator, R_0 and the
+squaring ladder) and returns, beside exp(a), a function that evaluates
+L(a, e) from that state (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30,
+1639 (2009), Alg. 6.4), so a derivative costs no second exponential.
+Non-finite, singular or overflowing cases raise
+:class:`NumericalHealthError` (CLI exit 3); non-square or mismatched input
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -36,41 +40,48 @@ _THETA13 = 5.371920351148152
 _CHUNK_BYTES = 25_000_000
 
 
-def _pade13(x: np.ndarray, y: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """(U, V) of the degree-13 Pade approximant (V - U)^-1 (V + U) at x and,
-    given y, their Frechet derivatives (L_U, L_V) along y.
+def _inner(p2, p4, p6, j):
+    """b_j p6 + b_(j-2) p4 + b_(j-4) p2: w1 (j = 13) and z1 (j = 12) of the
+    Pade sums at the powers, their lower halves (j = 7, 6) at derivatives."""
+    out = _B13[j] * p6
+    out += _B13[j - 2] * p4
+    out += _B13[j - 4] * p2
+    return out
 
-    The derivative terms follow Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
-    30, 1639 (2009), Alg. 6.4: each power x^j carries its derivative M_j.
-    The powers go out of scope on return, before the caller's solve.
-    """
+
+def _pade13(x, keep):
+    """Denominator V - U and numerator V + U of the degree-13 Pade approximant
+    at x and, with ``keep``, the powers (x, x^2, x^4, x^6, w) its derivative
+    reads; without it the powers go out of scope on return, before the solve."""
     b = _B13
     ident = np.broadcast_to(np.eye(x.shape[-1], dtype=x.dtype), x.shape)
     x2 = x @ x
     x4 = x2 @ x2
     x6 = x4 @ x2
-    w1 = b[13] * x6 + b[11] * x4 + b[9] * x2
-    z1 = b[12] * x6 + b[10] * x4 + b[8] * x2
-    w = x6 @ w1 + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident
-    v = x6 @ z1 + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
+    w = x6 @ _inner(x2, x4, x6, 13) + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident
+    v = x6 @ _inner(x2, x4, x6, 12) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
     u = x @ w
-    if y is None:
-        return u, v
-    m2 = x @ y + y @ x
-    m4 = x2 @ m2 + m2 @ x2
-    m6 = x4 @ m2 + m4 @ x2
-    lu = (x @ (x6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2) + m6 @ w1
-               + b[7] * m6 + b[5] * m4 + b[3] * m2) + y @ w)
-    lv = (x6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2) + m6 @ z1
-          + b[6] * m6 + b[4] * m4 + b[2] * m2)
-    return u, v, lu, lv
+    return v - u, v + u, ((x, x2, x4, x6, w) if keep else None)
 
 
-def _pade_chunk(a: np.ndarray, e: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """(exp(a),) or, given e, (exp(a), L(a, e)) for a (k, n, n) chunk.
+def _solve(den, rhs):
+    try:
+        return np.linalg.solve(den, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalHealthError(f"Pade denominator is singular: {exc}") from exc
 
-    Each matrix is scaled by 2^-s from its own 1-norm, and each of its s
-    squarings R <- R R carries L <- R L + L R.
+
+def _todo(s, step):
+    """The members of squaring step ``step``: all while every one squares."""
+    return slice(None) if step < s.min() else s > step
+
+
+def _pade_chunk(a, keep):
+    """exp(a) for a (k, n, n) chunk and, with ``keep``, its Pade state.
+
+    Each matrix is scaled by 2^-s from its own 1-norm and squared s times; a
+    step whose members do not all square works on them alone.  The state
+    keeps R_0 whole and, per step, the R_i that were squared.
     """
     norm1 = np.abs(a).sum(axis=-2).max(axis=-1)
     s = np.zeros(len(a), dtype=int)
@@ -78,63 +89,100 @@ def _pade_chunk(a: np.ndarray, e: np.ndarray | None = None) -> tuple[np.ndarray,
     s[big] = np.ceil(np.log2(norm1[big] / _THETA13))
     scale = (2.0 ** s)[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        u, v, *lu_lv = _pade13(a / scale, None if e is None else e / scale)
-        try:
-            r = np.linalg.solve(v - u, v + u)
-            out = (r,)
-            if lu_lv:
-                lu, lv = lu_lv
-                out = (r, np.linalg.solve(v - u, lu + lv + (lu - lv) @ r))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalHealthError(f"Pade denominator is singular: {exc}") from exc
+        den, num, powers = _pade13(a / scale, keep)
+        r = _solve(den, num)
+        r0 = r if keep else None
+        if keep and s.min() == 0 < s.max():
+            r = r.copy()       # step 0 squares in place, and R_0 must stay whole
+        ladder = []
         for step in range(s.max(initial=0)):
-            todo = slice(None) if step < s.min() else s > step
-            rt = out[0][todo]
-            if e is not None:
-                lt = out[1][todo]
-                out[1][todo] = rt @ lt + lt @ rt
-            out[0][todo] = rt @ rt
-    if not all(np.all(np.isfinite(o)) for o in out):
-        raise NumericalHealthError("matrix exponential or its derivative overflowed")
-    return out
+            todo = _todo(s, step)
+            rt = r[todo]
+            if keep:
+                ladder.append(rt)
+            if step < s.min():
+                r = rt @ rt    # rt is all of r: a new array keeps the ladder's R_i
+            else:
+                r[todo] = rt @ rt
+    if not np.all(np.isfinite(r)):
+        raise NumericalHealthError("matrix exponential overflowed")
+    return r, ((s, scale, powers, den, r0, ladder) if keep else None)
 
 
-def _stacked(*mats: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Check equal-shape square stacks and run them through :func:`_pade_chunk`."""
-    mats = [np.asarray(m) for m in mats]
-    dtype = float if all(np.isrealobj(m) for m in mats) else complex
-    mats = [m.astype(dtype, copy=False) for m in mats]
-    shape = mats[0].shape
+def _pade13_derivative(powers, y):
+    """Frechet derivatives (L_U, L_V) of U and V at x along y, from the powers
+    kept by :func:`_pade13`.  Each power x^j carries its derivative M_j; the
+    M_j go out of scope on return, before the caller's solve."""
+    x, x2, x4, x6, w = powers
+    m2 = x @ y + y @ x
+    m4 = x2 @ m2 + m2 @ x2
+    m6 = x4 @ m2 + m4 @ x2
+    lu = (x @ (x6 @ _inner(m2, m4, m6, 13) + m6 @ _inner(x2, x4, x6, 13)
+               + _inner(m2, m4, m6, 7)) + y @ w)
+    lv = x6 @ _inner(m2, m4, m6, 12) + m6 @ _inner(x2, x4, x6, 12) + _inner(m2, m4, m6, 6)
+    return lu, lv
+
+
+def _frechet_chunk(state, y):
+    """L(a, e) for one chunk from its Pade state; ``y`` holds e and is scaled
+    in place.  Each squaring R <- R R carries L <- R L + L R."""
+    s, scale, powers, den, r0, ladder = state
+    y /= scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        lu, lv = _pade13_derivative(powers, y)
+        l = _solve(den, lu + lv + (lu - lv) @ r0)
+        for step, rt in enumerate(ladder):
+            todo = _todo(s, step)
+            lt = l[todo]
+            l[todo] = rt @ lt + lt @ rt
+    if not np.all(np.isfinite(l)):
+        raise NumericalHealthError("derivative of the matrix exponential overflowed")
+    return l
+
+
+def expm(a: np.ndarray, derivative: bool = False):
+    """exp(a) for a single matrix or a stack (..., n, n) of matrices.
+
+    With ``derivative=True`` returns ``(exp(a), frechet)``: ``frechet(e)`` is
+    L(a, e) for an e of a's shape, the Frechet derivative of the exponential
+    at a along e (the first-order term of exp(a + t e) - exp(a) in t),
+    evaluated from the Pade state that exp(a) left behind.
+    """
+    a = np.asarray(a)
+    a = a.astype(float if np.isrealobj(a) else complex, copy=False)
+    shape = a.shape
     if len(shape) < 2 or shape[-1] != shape[-2]:
         raise ValueError(f"expected square matrices, got shape {shape}")
-    if any(m.shape != shape for m in mats):
-        raise ValueError(f"direction shape {mats[1].shape} does not match {shape}")
-    for m, what in zip(mats, ("exponent", "direction")):
-        if not np.all(np.isfinite(m)):
-            raise NumericalHealthError(f"non-finite entries in {what}")
+    if not np.all(np.isfinite(a)):
+        raise NumericalHealthError("non-finite entries in exponent")
     n = shape[-1]
-    flat = [m.reshape(-1, n, n) for m in mats]
-    total = flat[0].shape[0]
-    chunk = max(1, _CHUNK_BYTES // (flat[0].itemsize * n * n))
-    if total <= chunk:
-        outs = _pade_chunk(*flat)
+    flat = a.reshape(-1, n, n)
+    chunk = max(1, _CHUNK_BYTES // (flat.itemsize * n * n))
+    spans = [slice(i, i + chunk) for i in range(0, len(flat), chunk)]
+    if len(spans) == 1:
+        r, state = _pade_chunk(flat, derivative)
+        states = [state]
     else:
-        outs = tuple(np.empty_like(f) for f in flat)
-        for i in range(0, total, chunk):
-            for out, part in zip(outs, _pade_chunk(*(f[i:i + chunk] for f in flat))):
-                out[i:i + chunk] = part
-    return tuple(o.reshape(shape) for o in outs)
+        r = np.empty_like(flat)
+        states = []
+        for span in spans:
+            r[span], state = _pade_chunk(flat[span], derivative)
+            states.append(state)
+    r = r.reshape(shape)
+    if not derivative:
+        return r
+    dtype = a.dtype    # frechet must not keep the exponent alive
 
+    def frechet(e: np.ndarray) -> np.ndarray:
+        e = np.asarray(e)
+        if e.shape != shape:
+            raise ValueError(f"direction shape {e.shape} does not match {shape}")
+        if not np.all(np.isfinite(e)):
+            raise NumericalHealthError("non-finite entries in direction")
+        out = np.array(e, dtype=dtype if np.isrealobj(e) else complex)
+        flat_e = out.reshape(-1, n, n)
+        for span, state in zip(spans, states):
+            flat_e[span] = _frechet_chunk(state, flat_e[span])
+        return out
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a single matrix or a stack (..., n, n) of matrices."""
-    return _stacked(a)[0]
-
-
-def expm_frechet(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(exp(a), L(a, e)) for matrices or equal-shape stacks (..., n, n).
-
-    L(a, e) is the Frechet derivative of the exponential at a along e, the
-    first-order term of exp(a + t e) - exp(a) in t.
-    """
-    return _stacked(a, e)
+    return r, frechet

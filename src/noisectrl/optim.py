@@ -16,14 +16,15 @@ states back to column-stacked vec(rho) for ``Trajectory.states``.
 
 The gradient is exact: with forward states f_k and backward vectors b_k,
 the derivative of delta_F^2 along a generator direction D of slice k is
-2 <Q_k, -dt D>, where Q_k = L(A_k^T, b_k f_k^T) is the Frechet derivative
-of the exponential.  One batched call of ``_expm.expm_frechet`` computes
-all M of them at the slice size, from the Pade-13 powers of the scaled
-A_k^T and their derivatives (Al-Mohy & Higham 2009, Alg. 6.4), so it
-serves every direction; the L_k are non-normal, so no eigendecomposition
-is used.  Box constraints (noise amplitudes in [0, gamma_max], coherent
-amplitudes free) are handled by a projected limited-memory quasi-Newton
-iteration (scipy's L-BFGS-B).
+2 <Q_k, -dt D>, where Q_k = L(A_k^T, b_k f_k^T) = L(A_k, f_k b_k^T)^T is
+the Frechet derivative of the exponential.  One batched
+``_expm.expm(A, derivative=True)`` call gives the forward propagators and
+keeps each slice's Pade-13 state, from which all M derivatives follow at
+the slice size (Al-Mohy & Higham 2009, Alg. 6.4) without a second
+exponential; one derivative per slice serves every direction.  The L_k are
+non-normal, so no eigendecomposition is used.  Box constraints (noise
+amplitudes in [0, gamma_max], coherent amplitudes free) are handled by a
+projected limited-memory quasi-Newton iteration (scipy's L-BFGS-B).
 """
 
 from __future__ import annotations
@@ -120,15 +121,18 @@ def _check_sequence(problem, seq):
         raise ValueError("sequence duration does not match the problem horizon")
 
 
-def _forward(problem, u, gamma):
-    """Slice generators L, propagators X = exp(-dt L) and the forward states f."""
-    ell = liouvillians(problem.system, u, gamma)
-    x = _expm.expm(-problem.dt * ell)
+def _exponents(problem, u, gamma):
+    """The slice exponents A_k = -dt L_k."""
+    return -problem.dt * liouvillians(problem.system, u, gamma)
+
+
+def _forward(problem, x):
+    """The forward states f_0 .. f_M under the slice propagators x."""
     f = np.empty((len(x) + 1, x.shape[-1]))
     f[0] = _coordinates(problem.system, problem.rho0)
     for k in range(len(x)):
         f[k + 1] = x[k] @ f[k]
-    return ell, x, f
+    return f
 
 
 def propagate(problem: TransferProblem, seq: ControlSequence) -> Trajectory:
@@ -137,7 +141,7 @@ def propagate(problem: TransferProblem, seq: ControlSequence) -> Trajectory:
     The states pass ``qops._health_spectra``, which names the first bad slice.
     """
     _check_sequence(problem, seq)
-    _, _, f = _forward(problem, seq.u, seq.gamma)
+    f = _forward(problem, _expm.expm(_exponents(problem, seq.u, seq.gamma)))
     f = f @ pauli_basis(problem.system.n).T
     dim = problem.system.dim
     # f[k] is vec(rho_k) (column stacking), so each row reshapes to rho_k^T
@@ -149,7 +153,7 @@ def propagate(problem: TransferProblem, seq: ControlSequence) -> Trajectory:
 def error(problem: TransferProblem, seq: ControlSequence) -> float:
     """Frobenius distance of the propagated final state to the target."""
     _check_sequence(problem, seq)
-    _, _, f = _forward(problem, seq.u, seq.gamma)
+    f = _forward(problem, _expm.expm(_exponents(problem, seq.u, seq.gamma)))
     if not np.all(np.isfinite(f[-1])):
         raise NumericalHealthError("propagation produced non-finite state")
     return float(np.linalg.norm(f[-1] - _coordinates(problem.system, problem.target)))
@@ -157,7 +161,8 @@ def error(problem: TransferProblem, seq: ControlSequence) -> float:
 
 def _error_and_gradient(problem, u, gamma):
     """delta_F^2 and its exact gradient, columns ordered controls then noises."""
-    ell, x, f = _forward(problem, u, gamma)
+    x, frechet = _expm.expm(_exponents(problem, u, gamma), derivative=True)
+    f = _forward(problem, x)
     m, dim2 = x.shape[:2]
     r = f[m] - _coordinates(problem.system, problem.target)
     b = np.empty((m, dim2))
@@ -165,11 +170,10 @@ def _error_and_gradient(problem, u, gamma):
     for k in range(m - 1, 0, -1):
         b[k - 1] = x[k].T @ b[k]
 
-    # Q_k = L(A_k^T, b_k f_k^T), the Frechet derivative of exp at A_k^T
-    at = -problem.dt * ell.transpose(0, 2, 1)
-    q = _expm.expm_frechet(at, b[:, :, None] * f[:m, None, :])[1]
-    grad = -2.0 * problem.dt * np.einsum("kab,cab->kc", q,
-                                          problem.system.pauli_generators[1:])
+    # Q_k = L(A_k^T, b_k f_k^T) = L(A_k, f_k b_k^T)^T, read with transposed indices
+    q_t = frechet(f[:m, :, None] * b[:, None, :])
+    grad = -2.0 * problem.dt * np.tensordot(q_t, problem.system.pauli_generators[1:],
+                                             axes=([2, 1], [1, 2]))
     return float(r @ r), grad
 
 
@@ -178,8 +182,9 @@ def gradient(problem: TransferProblem, seq: ControlSequence) -> np.ndarray:
 
     Columns are ordered as the system's controls followed by its noise
     channels.  Each slice's propagator derivative is the Frechet derivative
-    of the exponential, computed with the Pade exponential itself (one
-    batched ``_expm.expm_frechet`` call), so there is no step size.
+    of the exponential, read from the Pade state of the same batched
+    ``_expm.expm`` call that gives the forward propagators, so there is no
+    step size and no second exponential.
     """
     _check_sequence(problem, seq)
     _, grad = _error_and_gradient(problem, seq.u, seq.gamma)

@@ -307,6 +307,10 @@ def hlp_plan(y, x, gamma_star: float, residual_target: float = 1e-4) -> HlpPlan:
         lo = 1e-15
         if residual(hi) <= residual_target:
             eps_floor = hi
+        elif (best := residual(lo)) > residual_target:
+            raise ReachabilityError(
+                f"residual_target {residual_target:g} is below {best:g}, the best "
+                f"residual the eps floor {lo:g} reaches")
         else:
             # until lo and hi are neighbours in floating point, where neither can move
             while lo < (mid := np.sqrt(lo * hi)) < hi:

@@ -152,6 +152,19 @@ class TestHlp:
         assert main(["hlp", "--config", str(cfg), "--out",
                      str(tmp_path / "x")]) == 4
 
+    def test_unreachable_residual_target_exits_4(self, tmp_path, capsys):
+        cfg = {
+            "mode": "hlp",
+            "system": {"model": "ising_chain", "n": 1, "noise": "bitflip",
+                       "gamma_star": 5.0},
+            "initial": {"state": "zero"},
+            "target": {"state": "spectrum", "values": [0.5, 0.5]},
+            "hlp": {"residual_target": 1e-20},
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["hlp", "--config", str(path), "--out", str(tmp_path / "x")]) == 4
+        assert "residual_target 1e-20" in capsys.readouterr().err
+
     def test_plan_only_needs_no_bitflip_noise(self, tmp_path):
         cfg = base_hlp_config()
         cfg["system"]["noise"] = "amp"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from noisectrl import _expm
 from noisectrl.exceptions import NumericalHealthError
-from noisectrl.lindblad import assemble_liouvillian, pauli_basis, propagator
+from noisectrl.lindblad import assemble_liouvillian, liouvillians, pauli_basis, propagator
 from noisectrl.models import ising_chain, thermal_state, zero_state
 from noisectrl.optim import (ControlSequence, TransferProblem, error, gradient,
                              optimize, optimize_restarts, propagate,
@@ -172,6 +173,63 @@ class TestGradient:
                               gamma=np.full((5, 1), 2.0))
         g = gradient(problem, seq)
         np.testing.assert_allclose(g[:, 2], 0, atol=1e-8)
+
+
+def mixed_scale_problem():
+    """A 2-qubit problem whose ten slice exponents -dt L_k have scaling
+    exponents 0 to 9, so the Pade squarings of one stack are masked."""
+    system = ising_chain(2, gamma_star=5.0, dephasing=0.3)
+    problem = TransferProblem(system, random_density(2, 11), random_density(2, 12), 0.1, 10)
+    rng = np.random.default_rng(13)
+    v = rng.standard_normal((10, 4))
+    no_noise = np.zeros((10, 1))
+    drive = np.abs(liouvillians(system, v, no_noise) - liouvillians(system, 0 * v, no_noise))
+    # slice k > 0 has 1-norm near theta13 2^(k - 1/2), slice 0 is the drift alone
+    amplitude = _expm._THETA13 * 2.0 ** (np.arange(10) - 0.5) / (
+        problem.dt * drive.sum(axis=-2).max(axis=-1))
+    amplitude[0] = 0.0
+    seq = ControlSequence(dt=problem.dt, u=amplitude[:, None] * v,
+                          gamma=rng.uniform(0.0, 5.0, (10, 1)))
+    a = -problem.dt * liouvillians(system, seq.u, seq.gamma)
+    norm1 = np.abs(a).sum(axis=-2).max(axis=-1)
+    scaling = np.ceil(np.log2(np.maximum(norm1 / _expm._THETA13, 1.0)))
+    assert sorted(scaling) == list(range(10))
+    return problem, seq, a
+
+
+class TestSharedPadeState:
+    def test_one_exponential_call_gives_the_forward_propagators(self, monkeypatch):
+        problem, seq, a = mixed_scale_problem()
+        exact = _expm.expm
+        calls = []
+
+        def recording(arg, **kwargs):
+            out = exact(arg, **kwargs)
+            calls.append((arg, out))
+            return out
+
+        monkeypatch.setattr(_expm, "expm", recording)
+        gradient(problem, seq)
+        assert len(calls) == 1
+        (arg, (x, _)), = calls
+        np.testing.assert_array_equal(arg, a)
+        np.testing.assert_array_equal(x, exact(a))    # bit for bit those of error()
+
+    def test_gradient_matches_scipy_frechet_per_slice(self):
+        problem, seq, a = mixed_scale_problem()
+        x = _expm.expm(a)
+        f = [np.real(pauli_basis(2).conj().T @ vec(problem.rho0))]
+        for xk in x:
+            f.append(xk @ f[-1])
+        b = [f[-1] - np.real(pauli_basis(2).conj().T @ vec(problem.target))]
+        for xk in x[:0:-1]:
+            b.insert(0, xk.T @ b[0])
+        directions = problem.system.pauli_generators[1:]
+        ref = np.array([[-2.0 * problem.dt * np.sum(
+            scipy.linalg.expm_frechet(a[k].T, np.outer(b[k], f[k]), compute_expm=False) * d)
+            for d in directions] for k in range(len(a))])
+        grad = gradient(problem, seq)
+        assert np.abs(grad - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @settings(max_examples=20, deadline=None)

@@ -237,6 +237,13 @@ class TestHlpPlan:
         with pytest.raises(ReachabilityError):
             hlp_plan([0.6, 0.4], [0.7, 0.3], gamma_star=1.0)
 
+    def test_target_below_the_eps_floor_raises(self):
+        # an exact half-mix at the eps floor 1e-15 leaves residual 7.5e-16
+        with pytest.raises(ReachabilityError, match=r"residual_target 1e-20 .* 7\.\d+e-16"):
+            hlp_plan([1.0, 0.0], [0.5, 0.5], gamma_star=5.0, residual_target=1e-20)
+        plan = hlp_plan([1.0, 0.0], [0.5, 0.5], gamma_star=5.0, residual_target=1e-15)
+        assert plan.predicted_residual <= 1e-15
+
     def test_equal_spectra_empty_plan(self):
         plan = hlp_plan([0.6, 0.4], [0.6, 0.4], gamma_star=1.0)
         assert plan.steps == ()
