@@ -2,16 +2,16 @@
 and squaring.
 
 Works on single matrices or stacks of shape (..., n, n), real or complex;
-float64 input stays float64, anything else runs in complex128.  Stacks are
-processed in cache-sized chunks.  Every matrix gets its own scaling
-exponent from its own 1-norm, and a squaring step multiplies only the
-members that still need it, so one large-amplitude member does not
-over-scale its neighbours.  Generators here are non-normal Liouvillians, so
-spectral decomposition is deliberately not used.
+float64 input stays float64, anything else runs in complex128.  Every
+matrix of a stack gets its own scaling exponent from its own 1-norm, and a
+squaring step multiplies only the members that still need it, so one
+large-amplitude member does not over-scale its neighbours.  Generators
+here are non-normal Liouvillians, so spectral decomposition is
+deliberately not used.
 
 :func:`expm` is the package's only matrix exponential and Frechet
 derivative, looked up as ``_expm.expm`` at call time.  Asked for the
-derivative, it keeps each chunk's Pade state (the scaling exponents, the
+derivative, it keeps the stack's Pade state (the scaling exponents, the
 scaled powers x, x^2, x^4, x^6 and w, the Pade denominator, R_0 and the
 squaring ladder) and returns, beside exp(a), a function that evaluates
 L(a, e) from that state (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30,
@@ -35,9 +35,6 @@ _B13 = np.array([
     960960.0, 16380.0, 182.0, 1.0,
 ])
 _THETA13 = 5.371920351148152
-
-# chunk so that one stack temporary stays around ~25 MB
-_CHUNK_BYTES = 25_000_000
 
 
 def _inner(p2, p4, p6, j):
@@ -76,8 +73,8 @@ def _todo(s, step):
     return slice(None) if step < s.min() else s > step
 
 
-def _pade_chunk(a, keep):
-    """exp(a) for a (k, n, n) chunk and, with ``keep``, its Pade state.
+def _pade(a, keep):
+    """exp(a) for a (k, n, n) stack and, with ``keep``, its Pade state.
 
     Each matrix is scaled by 2^-s from its own 1-norm and squared s times; a
     step whose members do not all square works on them alone.  The state
@@ -92,7 +89,7 @@ def _pade_chunk(a, keep):
         den, num, powers = _pade13(a / scale, keep)
         r = _solve(den, num)
         r0 = r if keep else None
-        if keep and s.min() == 0 < s.max():
+        if keep and s.size and s.min() == 0 < s.max():
             r = r.copy()       # step 0 squares in place, and R_0 must stay whole
         ladder = []
         for step in range(s.max(initial=0)):
@@ -123,8 +120,8 @@ def _pade13_derivative(powers, y):
     return lu, lv
 
 
-def _frechet_chunk(state, y):
-    """L(a, e) for one chunk from its Pade state; ``y`` holds e and is scaled
+def _frechet(state, y):
+    """L(a, e) for a stack from its Pade state; ``y`` holds e and is scaled
     in place.  Each squaring R <- R R carries L <- R L + L R."""
     s, scale, powers, den, r0, ladder = state
     y /= scale
@@ -156,18 +153,7 @@ def expm(a: np.ndarray, derivative: bool = False):
     if not np.all(np.isfinite(a)):
         raise NumericalHealthError("non-finite entries in exponent")
     n = shape[-1]
-    flat = a.reshape(-1, n, n)
-    chunk = max(1, _CHUNK_BYTES // (flat.itemsize * n * n))
-    spans = [slice(i, i + chunk) for i in range(0, len(flat), chunk)]
-    if len(spans) == 1:
-        r, state = _pade_chunk(flat, derivative)
-        states = [state]
-    else:
-        r = np.empty_like(flat)
-        states = []
-        for span in spans:
-            r[span], state = _pade_chunk(flat[span], derivative)
-            states.append(state)
+    r, state = _pade(a.reshape(-1, n, n), derivative)
     r = r.reshape(shape)
     if not derivative:
         return r
@@ -180,9 +166,6 @@ def expm(a: np.ndarray, derivative: bool = False):
         if not np.all(np.isfinite(e)):
             raise NumericalHealthError("non-finite entries in direction")
         out = np.array(e, dtype=dtype if np.isrealobj(e) else complex)
-        flat_e = out.reshape(-1, n, n)
-        for span, state in zip(spans, states):
-            flat_e[span] = _frechet_chunk(state, flat_e[span])
-        return out
+        return _frechet(state, out.reshape(-1, n, n)).reshape(shape)
 
     return r, frechet

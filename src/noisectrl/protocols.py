@@ -7,7 +7,8 @@ error of each n-step protocol is known in closed form.
 All schedules assume the chain model: noise switchable on the terminal
 qubit, diagonal Ising drift, swaps between diagonal states realized by
 i-swaps of duration 1/J each (charged to the duration accounting; the
-unitaries themselves are ideal).
+unitaries themselves are ideal).  Each protocol is one qubit cycle: every
+qubit is swapped to the terminal site in turn and given the same step.
 """
 
 from __future__ import annotations
@@ -39,38 +40,30 @@ class ProtocolReport:
 
 
 def _swap_sites_matrix(a: int, b: int, n: int) -> np.ndarray:
-    """Basis permutation exchanging qubits at sites a and b."""
+    """Basis permutation exchanging qubits at sites a and b (site 1 is the
+    most significant bit): the identity with those two tensor axes swapped."""
     dim = 2 ** n
-    perm = np.zeros((dim, dim), dtype=complex)
-    for idx in range(dim):
-        bits = [(idx >> (n - q)) & 1 for q in range(1, n + 1)]
-        bits[a - 1], bits[b - 1] = bits[b - 1], bits[a - 1]
-        jdx = sum(bit << (n - q) for q, bit in zip(range(1, n + 1), bits))
-        perm[jdx, idx] = 1.0
-    return perm
+    ident = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    return np.swapaxes(ident, a - 1, b - 1).reshape(dim, dim)
 
 
-def _bring_qubit_to_terminal(site: int, n: int, swap_time: float):
-    """Adjacent swap chain moving the qubit at `site` to site n."""
-    segs = []
-    for s in range(site, n):
-        segs.append(UnitarySegment(_swap_sites_matrix(s, s + 1, n),
-                                   charged_duration=swap_time, label=f"iswap{s}{s+1}"))
-    return segs
-
-
-def _qubit_cycle_schedule(n: int, step_segments, swap_time: float) -> Schedule:
-    """Visit every qubit once with the noise site fixed at n.
-
-    Step q damps the qubit originally at site n - q + 1; bringing it to the
-    terminal site costs q - 1 adjacent swaps, binom(n, 2) in total.
-    """
+def _qubit_cycle(n: int, coupling: float, charge_swap_time: bool, step_segments):
+    """Visit every qubit once with the noise site fixed at n: step q brings the
+    qubit at site n - q + 1 to site n by q - 1 adjacent i-swaps, then runs
+    ``step_segments``.  Returns the schedule and its binom(n, 2) swaps' time."""
+    swap_time = (1.0 / coupling) if charge_swap_time else 0.0
     segments = []
     for q in range(1, n + 1):
-        if q > 1:
-            segments.extend(_bring_qubit_to_terminal(n - q + 1, n, swap_time))
+        segments.extend(UnitarySegment(_swap_sites_matrix(s, s + 1, n),
+                                       charged_duration=swap_time, label=f"iswap{s}{s+1}")
+                        for s in range(n - q + 1, n))
         segments.extend(step_segments)
-    return Schedule(segments=tuple(segments))
+    return Schedule(segments=tuple(segments)), comb(n, 2) * swap_time
+
+
+def _hold(n: int, gamma_star: float, tau: float, label: str) -> HoldSegment:
+    """Controls off and the terminal noise at gamma* for tau."""
+    return HoldSegment(np.zeros(2 * n), np.array([gamma_star]), tau, label)
 
 
 def _check_protocol(n, gamma_star, coupling=1.0, total_noise_time=0.0, charge_swap_time=True):
@@ -103,15 +96,11 @@ def init_protocol(n: int, gamma_star: float, coupling: float,
     so the prediction is :func:`init_error`.
     """
     _check_protocol(n, gamma_star, coupling, total_noise_time, charge_swap_time)
-    tau = total_noise_time / n
-    u = np.zeros(2 * n)
-    hold = HoldSegment(u=u, gamma=np.array([gamma_star]), duration=tau, label="damp")
-    swap_time = (1.0 / coupling) if charge_swap_time else 0.0
-    schedule = _qubit_cycle_schedule(n, [hold], swap_time)
-    duration = total_noise_time + comb(n, 2) * swap_time
+    schedule, swaps = _qubit_cycle(n, coupling, charge_swap_time,
+                                   [_hold(n, gamma_star, total_noise_time / n, "damp")])
     return ProtocolReport(schedule=schedule,
                           predicted_error=init_error(n, gamma_star, total_noise_time),
-                          predicted_duration=duration, formula_id="th0est")
+                          predicted_duration=total_noise_time + swaps, formula_id="th0est")
 
 
 def init_time_bound(n: int, gamma_star: float, coupling: float,
@@ -137,14 +126,11 @@ def erase_protocol_amp(n: int, gamma_star: float, coupling: float,
     """
     _check_protocol(n, gamma_star, coupling, charge_swap_time=charge_swap_time)
     tau = np.log(2.0) / gamma_star
-    u = np.zeros(2 * n)
     flip = UnitarySegment(embed_local(SIGMA_X, n, n), label="flip")
-    hold = HoldSegment(u=u, gamma=np.array([gamma_star]), duration=tau, label="damp")
-    swap_time = (1.0 / coupling) if charge_swap_time else 0.0
-    schedule = _qubit_cycle_schedule(n, [flip, hold], swap_time)
-    duration = comb(n, 2) * swap_time + n * tau
+    schedule, swaps = _qubit_cycle(n, coupling, charge_swap_time,
+                                   [flip, _hold(n, gamma_star, tau, "damp")])
     return ProtocolReport(schedule=schedule, predicted_error=0.0,
-                          predicted_duration=duration, formula_id="erase_amp")
+                          predicted_duration=swaps + n * tau, formula_id="erase_amp")
 
 
 def erase_error_bitflip(n: int, gamma_star: float, total_noise_time: float) -> float:
@@ -177,12 +163,8 @@ def erase_protocol_bitflip(n: int, gamma_star: float, coupling: float,
                            charge_swap_time: bool = True) -> ProtocolReport:
     """|0...0> toward the thermal state with bit-flip noise, qubit by qubit."""
     _check_protocol(n, gamma_star, coupling, total_noise_time, charge_swap_time)
-    tau = total_noise_time / n
-    u = np.zeros(2 * n)
-    hold = HoldSegment(u=u, gamma=np.array([gamma_star]), duration=tau, label="average")
-    swap_time = (1.0 / coupling) if charge_swap_time else 0.0
-    schedule = _qubit_cycle_schedule(n, [hold], swap_time)
-    duration = total_noise_time + comb(n, 2) * swap_time
+    schedule, swaps = _qubit_cycle(n, coupling, charge_swap_time,
+                                   [_hold(n, gamma_star, total_noise_time / n, "average")])
     return ProtocolReport(schedule=schedule,
                           predicted_error=erase_error_bitflip(n, gamma_star, total_noise_time),
-                          predicted_duration=duration, formula_id="zeroth_est")
+                          predicted_duration=total_noise_time + swaps, formula_id="zeroth_est")

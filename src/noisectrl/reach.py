@@ -278,6 +278,8 @@ def hlp_plan(y, x, gamma_star: float, residual_target: float = 1e-4) -> HlpPlan:
         raise ValueError("spectra must be equal-length vectors")
     if not (abs(y.sum() - 1.0) <= _SUM_ATOL and abs(x.sum() - 1.0) <= _SUM_ATOL):
         raise ValueError("spectra must be finite and sum to one")
+    if min(y.min(), x.min()) < -_SUM_ATOL:
+        raise ValueError("spectra must be nonnegative")
     check("gamma_star", gamma_star, rule="positive")
     check("residual_target", residual_target, rule="positive")
     if not majorises(x, y):
@@ -382,7 +384,7 @@ def _terminal_noise(system, theta: float = 0.5):
     return None
 
 
-def _schedulable(system, trotter_steps: int):
+def _schedulable(plan: HlpPlan, system, trotter_steps: int):
     """Checked inputs of a compiled schedule: terminal bit-flip noise index, drift energies."""
     check("trotter_steps", trotter_steps, int, 1)
     noise_idx = _terminal_noise(system)
@@ -391,6 +393,9 @@ def _schedulable(system, trotter_steps: int):
     h0 = as_matrix(system.h0)
     if np.abs(h0 - np.diag(np.diag(h0))).max() > 1e-12 * np.abs(h0).max():
         raise ConfigurationError("scheduler requires a diagonal drift Hamiltonian")
+    if len(plan.initial_spectrum) != system.dim:
+        raise ConfigurationError(
+            f"plan is for dimension {len(plan.initial_spectrum)}, system has {system.dim}")
     return noise_idx, np.real(np.diag(h0))
 
 
@@ -446,11 +451,8 @@ def hlp_execute(plan: HlpPlan, system, trotter_steps: int = 64) -> Schedule:
     Propagating the schedule reproduces the plan's predicted spectrum up
     to the residual allocation plus the finite-k decoupling error.
     """
-    noise_idx, energies = _schedulable(system, trotter_steps)
+    noise_idx, energies = _schedulable(plan, system, trotter_steps)
     dim = system.dim
-    if len(plan.initial_spectrum) != dim:
-        raise ConfigurationError(
-            f"plan is for dimension {len(plan.initial_spectrum)}, system has {dim}")
 
     u12 = _protection_unitary(dim)
     segments = []
@@ -473,7 +475,7 @@ def predict_executed_spectrum(plan: HlpPlan, system, trotter_steps: int = 64) ->
     """Spectrum the compiled schedule should produce, from the exact
     two-level pair dynamics (populations average exactly; protected pairs
     contract by the computable decoupling factor)."""
-    noise_idx, energies = _schedulable(system, trotter_steps)
+    noise_idx, energies = _schedulable(plan, system, trotter_steps)
     gamma_star = system.noises[noise_idx].gamma_max
     vals = plan.initial_spectrum.copy()
     for step in plan.steps:

@@ -8,7 +8,7 @@ from noisectrl.lindblad import assemble_liouvillian, pauli_basis, propagator, v_
 from noisectrl.models import (Control, ControlSystem, Noise, ghz_state, ion_trap_model,
                               ising_chain, thermal_state, zero_state)
 from noisectrl.qops import SIGMA_MINUS, SIGMA_X, embed_local, unvec, vec
-from noisectrl.reach import _schedulable, lie_closure_dimension
+from noisectrl.reach import _schedulable, hlp_plan, lie_closure_dimension
 
 
 class TestIsingChain:
@@ -116,7 +116,8 @@ def test_operator_thresholds_are_relative_to_scale(scale):
     dataclasses.replace(chain, h0=drift)
     diagonal = q.conj().T @ drift @ q
     diagonal = (diagonal + diagonal.conj().T) / 2    # Hermitian, not diagonal
-    noise_idx, found = _schedulable(dataclasses.replace(chain, h0=diagonal), 8)
+    plan = hlp_plan(np.full(4, 0.25), np.full(4, 0.25), gamma_star=5.0)
+    noise_idx, found = _schedulable(plan, dataclasses.replace(chain, h0=diagonal), 8)
     assert noise_idx == 0
     np.testing.assert_allclose(found, energies, rtol=1e-12)
 

@@ -1,8 +1,11 @@
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisectrl.models import ising_chain, thermal_state, zero_state
-from noisectrl.protocols import (erase_error_bitflip, erase_protocol_amp,
+from noisectrl.protocols import (_swap_sites_matrix, erase_error_bitflip, erase_protocol_amp,
                                  erase_protocol_bitflip, erase_time_bitflip,
                                  init_error, init_protocol, init_time_bound)
 from noisectrl.qops import frobenius_error, vec
@@ -117,3 +120,29 @@ class TestEraseBitflip:
             erase_time_bitflip(3, 5.0, 1.0, 0.99)
         with pytest.raises(ValueError):
             erase_time_bitflip(3, 5.0, 1.0, 0.0)
+
+
+class TestQubitCycle:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 5), gamma_star=st.floats(0.1, 20.0), coupling=st.floats(0.05, 20.0),
+           noise_time=st.floats(0.0, 50.0), charge=st.booleans())
+    def test_prediction_matches_the_schedule_clock(self, n, gamma_star, coupling,
+                                                   noise_time, charge):
+        for report in (init_protocol(n, gamma_star, coupling, noise_time, charge),
+                       erase_protocol_amp(n, gamma_star, coupling, charge),
+                       erase_protocol_bitflip(n, gamma_star, coupling, noise_time, charge)):
+            clock = report.schedule.duration
+            assert abs(report.predicted_duration - clock) <= 1e-12 * abs(clock)
+            swaps = [seg for seg in report.schedule.segments if seg.label.startswith("iswap")]
+            assert len(swaps) == comb(n, 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_swap_matrix_exchanges_the_two_bits(self, n):
+        idx = np.arange(2 ** n)
+        for a in range(1, n + 1):
+            for b in range(a + 1, n + 1):
+                differ = ((idx >> (n - a)) ^ (idx >> (n - b))) & 1
+                jdx = idx ^ (differ << (n - a)) ^ (differ << (n - b))
+                # column idx holds a one in row jdx[idx] only
+                np.testing.assert_array_equal(_swap_sites_matrix(a, b, n),
+                                              np.eye(2 ** n)[:, jdx])

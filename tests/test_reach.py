@@ -244,6 +244,17 @@ class TestHlpPlan:
         plan = hlp_plan([1.0, 0.0], [0.5, 0.5], gamma_star=5.0, residual_target=1e-15)
         assert plan.predicted_residual <= 1e-15
 
+    @pytest.mark.parametrize("y, x", [([1.5, -0.5], [0.5, 0.5]), ([0.5, 0.5], [1.5, -0.5])],
+                             ids=["initial", "target"])
+    def test_rejects_negative_spectrum(self, y, x):
+        with pytest.raises(ValueError, match="spectra must be nonnegative"):
+            hlp_plan(y, x, gamma_star=5.0)
+
+    def test_accepts_roundoff_negative_eigenvalues(self):
+        # eigvalsh of a valid pure state may return about -1e-12
+        plan = hlp_plan([1.0 + 1e-12, -1e-12], [0.5, 0.5], gamma_star=5.0)
+        assert len(plan.steps) == 1
+
     def test_equal_spectra_empty_plan(self):
         plan = hlp_plan([0.6, 0.4], [0.6, 0.4], gamma_star=1.0)
         assert plan.steps == ()
@@ -317,6 +328,13 @@ class TestHlpExecute:
         for compile_or_predict in (hlp_execute, predict_executed_spectrum):
             with pytest.raises(ValueError, match="trotter_steps must be at least 1"):
                 compile_or_predict(plan, system, trotter_steps=trotter)
+
+    def test_rejects_a_plan_of_another_dimension(self):
+        plan = hlp_plan([0.7, 0.3], [0.5, 0.5], gamma_star=5.0)
+        system = ising_chain(2, noise_kind="bitflip", gamma_star=5.0)
+        for compile_or_predict in (hlp_execute, predict_executed_spectrum):
+            with pytest.raises(ConfigurationError, match="plan is for dimension 2, system has 4"):
+                compile_or_predict(plan, system)
 
     @pytest.mark.parametrize("trotter", [2.5, 3.0])
     def test_rejects_non_integer_trotter_count(self, trotter):
