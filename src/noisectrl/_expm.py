@@ -12,10 +12,18 @@ deliberately not used.
 :func:`expm` is the package's only matrix exponential and Frechet
 derivative, looked up as ``_expm.expm`` at call time.  Asked for the
 derivative, it keeps the stack's Pade state (the scaling exponents, the
-scaled powers x, x^2, x^4, x^6 and w, the Pade denominator, R_0 and the
-squaring ladder) and returns, beside exp(a), a function that evaluates
-L(a, e) from that state (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30,
-1639 (2009), Alg. 6.4), so a derivative costs no second exponential.
+scaled powers x, x^2, x^4, x^6, the Pade denominator, R_0 and the squaring
+ladder) and returns, beside exp(a), a function that evaluates L(a, u v^T)
+along rank-one directions from that state, so a derivative costs no second
+exponential.  It follows Al-Mohy & Higham (SIAM J. Matrix Anal. Appl. 30,
+1639 (2009), Alg. 6.4) with a rank-one direction: with p = sum b_j x^j and
+q = sum (-1)^j b_j x^j the Pade-13 numerator and denominator at the scaled
+x, their derivatives along y = u v^T are K_u H_p K_v^T and K_u H_q K_v^T,
+where K_u = [u, x u, ..., x^12 u] and K_v = [v, x^T v, ..., (x^T)^12 v] are
+13 Krylov vectors built from the kept powers and H_p[i, l] = b_(i+l+1),
+H_q[i, l] = (-1)^(i+l+1) b_(i+l+1) are constant Hankel tables.  The Pade
+stage is then a solve with 13 right-hand sides, and the dense derivative
+runs up the squaring ladder as L <- R L + L R.
 Non-finite, singular or overflowing cases raise
 :class:`NumericalHealthError` (CLI exit 3); non-square or mismatched input
 ``ValueError``.
@@ -35,11 +43,17 @@ _B13 = np.array([
     960960.0, 16380.0, 182.0, 1.0,
 ])
 _THETA13 = 5.371920351148152
+# Hankel tables of the Pade sums' derivatives along a rank-one direction:
+# H_p[i, l] = b_(i+l+1) for the numerator, H_q[i, l] = (-1)^(i+l+1) b_(i+l+1)
+# for the denominator, zero past degree 13
+_DEG = np.add.outer(np.arange(13), np.arange(13)) + 1
+_HP = np.where(_DEG <= 13, _B13[np.minimum(_DEG, 13)], 0.0)
+_HQ = (-1.0) ** _DEG * _HP
 
 
 def _inner(p2, p4, p6, j):
     """b_j p6 + b_(j-2) p4 + b_(j-4) p2: w1 (j = 13) and z1 (j = 12) of the
-    Pade sums at the powers, their lower halves (j = 7, 6) at derivatives."""
+    Pade sums."""
     out = _B13[j] * p6
     out += _B13[j - 2] * p4
     out += _B13[j - 4] * p2
@@ -48,7 +62,7 @@ def _inner(p2, p4, p6, j):
 
 def _pade13(x, keep):
     """Denominator V - U and numerator V + U of the degree-13 Pade approximant
-    at x and, with ``keep``, the powers (x, x^2, x^4, x^6, w) its derivative
+    at x and, with ``keep``, the powers (x, x^2, x^4, x^6) its derivative
     reads; without it the powers go out of scope on return, before the solve."""
     b = _B13
     ident = np.broadcast_to(np.eye(x.shape[-1], dtype=x.dtype), x.shape)
@@ -58,7 +72,7 @@ def _pade13(x, keep):
     w = x6 @ _inner(x2, x4, x6, 13) + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident
     v = x6 @ _inner(x2, x4, x6, 12) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
     u = x @ w
-    return v - u, v + u, ((x, x2, x4, x6, w) if keep else None)
+    return v - u, v + u, ((x, x2, x4, x6) if keep else None)
 
 
 def _solve(den, rhs):
@@ -106,28 +120,29 @@ def _pade(a, keep):
     return r, ((s, scale, powers, den, r0, ladder) if keep else None)
 
 
-def _pade13_derivative(powers, y):
-    """Frechet derivatives (L_U, L_V) of U and V at x along y, from the powers
-    kept by :func:`_pade13`.  Each power x^j carries its derivative M_j; the
-    M_j go out of scope on return, before the caller's solve."""
-    x, x2, x4, x6, w = powers
-    m2 = x @ y + y @ x
-    m4 = x2 @ m2 + m2 @ x2
-    m6 = x4 @ m2 + m4 @ x2
-    lu = (x @ (x6 @ _inner(m2, m4, m6, 13) + m6 @ _inner(x2, x4, x6, 13)
-               + _inner(m2, m4, m6, 7)) + y @ w)
-    lv = x6 @ _inner(m2, m4, m6, 12) + m6 @ _inner(x2, x4, x6, 12) + _inner(m2, m4, m6, 6)
-    return lu, lv
+def _krylov(powers, v):
+    """[v, x v, ..., x^12 v] as the columns of a (k, n, 13) stack, from v of
+    shape (k, n, 1) and the kept powers x, x^2, x^4, x^6: four thin products."""
+    x, x2, x4, x6 = powers
+    kv = np.concatenate([v, x @ v], axis=-1)
+    kv = np.concatenate([kv, x2 @ kv], axis=-1)
+    kv = np.concatenate([kv, x4 @ kv], axis=-1)
+    return np.concatenate([kv, x6 @ kv[..., 2:7]], axis=-1)
 
 
-def _frechet(state, y):
-    """L(a, e) for a stack from its Pade state; ``y`` holds e and is scaled
-    in place.  Each squaring R <- R R carries L <- R L + L R."""
+def _frechet(state, u, v):
+    """L(a, u v^T) for a stack from its Pade state, with u and v of shape (k, n).
+
+    At the scaled x, L_0 = q^-1 (L_p - L_q R_0) = q^-1 K_u (H_p K_v^T -
+    H_q K_v^T R_0), a solve with 13 right-hand sides; each squaring
+    R <- R R then carries L <- R L + L R.
+    """
     s, scale, powers, den, r0, ladder = state
-    y /= scale
     with np.errstate(over="ignore", invalid="ignore"):
-        lu, lv = _pade13_derivative(powers, y)
-        l = _solve(den, lu + lv + (lu - lv) @ r0)
+        ku = _krylov(powers, u[..., None] / scale)
+        kvt = np.swapaxes(_krylov([np.swapaxes(p, -1, -2) for p in powers], v[..., None]),
+                          -1, -2)
+        l = _solve(den, ku) @ (_HP @ kvt - _HQ @ (kvt @ r0))
         for step, rt in enumerate(ladder):
             todo = _todo(s, step)
             lt = l[todo]
@@ -140,15 +155,16 @@ def _frechet(state, y):
 def expm(a: np.ndarray, derivative: bool = False):
     """exp(a) for a single matrix or a stack (..., n, n) of matrices.
 
-    With ``derivative=True`` returns ``(exp(a), frechet)``: ``frechet(e)`` is
-    L(a, e) for an e of a's shape, the Frechet derivative of the exponential
-    at a along e (the first-order term of exp(a + t e) - exp(a) in t),
-    evaluated from the Pade state that exp(a) left behind.
+    With ``derivative=True`` returns ``(exp(a), frechet)``: ``frechet(u, v)``
+    is L(a, u v^T) for stacks u, v of shape (..., n), the Frechet derivative
+    of the exponential at a along the rank-one direction u v^T (the
+    first-order term of exp(a + t u v^T) - exp(a) in t), evaluated from the
+    Pade state that exp(a) left behind.
     """
     a = np.asarray(a)
     a = a.astype(float if np.isrealobj(a) else complex, copy=False)
     shape = a.shape
-    if len(shape) < 2 or shape[-1] != shape[-2]:
+    if len(shape) < 2 or shape[-1] != shape[-2] or shape[-1] == 0:
         raise ValueError(f"expected square matrices, got shape {shape}")
     if not np.all(np.isfinite(a)):
         raise NumericalHealthError("non-finite entries in exponent")
@@ -159,13 +175,15 @@ def expm(a: np.ndarray, derivative: bool = False):
         return r
     dtype = a.dtype    # frechet must not keep the exponent alive
 
-    def frechet(e: np.ndarray) -> np.ndarray:
-        e = np.asarray(e)
-        if e.shape != shape:
-            raise ValueError(f"direction shape {e.shape} does not match {shape}")
-        if not np.all(np.isfinite(e)):
+    def frechet(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        u, v = np.asarray(u), np.asarray(v)
+        if u.shape != shape[:-1] or v.shape != shape[:-1]:
+            raise ValueError(f"vector shapes {u.shape} and {v.shape} do not match {shape}")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise NumericalHealthError("non-finite entries in direction")
-        out = np.array(e, dtype=dtype if np.isrealobj(e) else complex)
-        return _frechet(state, out.reshape(-1, n, n)).reshape(shape)
+        kind = dtype if np.isrealobj(u) and np.isrealobj(v) else complex
+        l = _frechet(state, u.astype(kind, copy=False).reshape(-1, n),
+                     v.astype(kind, copy=False).reshape(-1, n))
+        return l.reshape(shape)
 
     return r, frechet

@@ -17,11 +17,14 @@ states back to column-stacked vec(rho) for ``Trajectory.states``.
 The gradient is exact: with forward states f_k and backward vectors b_k,
 the derivative of delta_F^2 along a generator direction D of slice k is
 2 <Q_k, -dt D>, where Q_k = L(A_k^T, b_k f_k^T) = L(A_k, f_k b_k^T)^T is
-the Frechet derivative of the exponential.  One batched
-``_expm.expm(A, derivative=True)`` call gives the forward propagators and
-keeps each slice's Pade-13 state, from which all M derivatives follow at
-the slice size (Al-Mohy & Higham 2009, Alg. 6.4) without a second
-exponential; one derivative per slice serves every direction.  The L_k are
+the Frechet derivative of the exponential along a rank-one direction.  One
+batched ``_expm.expm(A, derivative=True)`` call gives the forward
+propagators and keeps each slice's Pade-13 state, from which all M
+derivatives follow at the slice size without a second exponential: the
+Pade stage needs only the 13 Krylov vectors x^j f_k and (x^T)^j b_k of the
+scaled exponent x (Al-Mohy & Higham 2009, Alg. 6.4, along f_k b_k^T), and
+the squaring ladder runs on the dense derivative.  One derivative per
+slice serves every direction.  The L_k are
 non-normal, so no eigendecomposition is used.  Box constraints (noise
 amplitudes in [0, gamma_max], coherent amplitudes free) are handled by a
 projected limited-memory quasi-Newton iteration (scipy's L-BFGS-B).
@@ -171,7 +174,7 @@ def _error_and_gradient(problem, u, gamma):
         b[k - 1] = x[k].T @ b[k]
 
     # Q_k = L(A_k^T, b_k f_k^T) = L(A_k, f_k b_k^T)^T, read with transposed indices
-    q_t = frechet(f[:m, :, None] * b[:, None, :])
+    q_t = frechet(f[:m], b)
     grad = -2.0 * problem.dt * np.tensordot(q_t, problem.system.pauli_generators[1:],
                                              axes=([2, 1], [1, 2]))
     return float(r @ r), grad
@@ -182,9 +185,9 @@ def gradient(problem: TransferProblem, seq: ControlSequence) -> np.ndarray:
 
     Columns are ordered as the system's controls followed by its noise
     channels.  Each slice's propagator derivative is the Frechet derivative
-    of the exponential, read from the Pade state of the same batched
-    ``_expm.expm`` call that gives the forward propagators, so there is no
-    step size and no second exponential.
+    of the exponential along the rank-one direction f_k b_k^T, read from
+    the Pade state of the same batched ``_expm.expm`` call that gives the
+    forward propagators, so there is no step size and no second exponential.
     """
     _check_sequence(problem, seq)
     _, grad = _error_and_gradient(problem, seq.u, seq.gamma)

@@ -286,14 +286,18 @@ class TestExpm:
         with pytest.raises(NumericalHealthError):
             _expm.expm(exponent)
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (0, 0), (3, 0, 0)])
     def test_non_square_input_raises_value_error(self, shape):
         with pytest.raises(ValueError, match="square"):
             _expm.expm(np.zeros(shape))
+        with pytest.raises(ValueError, match="square"):
+            _expm.expm(np.zeros(shape), derivative=True)
 
     def test_frechet_direction_must_match_the_exponent(self):
-        with pytest.raises(ValueError, match="does not match"):
-            _expm.expm(np.zeros((2, 3, 3)), derivative=True)[1](np.zeros((3, 3)))
+        frechet = _expm.expm(np.zeros((2, 3, 3)), derivative=True)[1]
+        for u, v in (((3,), (2, 3)), ((2, 3), (3,)), ((2, 4), (2, 4)), ((2, 3, 3), (2, 3, 3))):
+            with pytest.raises(ValueError, match="do not match"):
+                frechet(np.zeros(u), np.zeros(v))
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -301,19 +305,20 @@ class TestExpm:
     @example(seed=0, log_norms=[-3.0] + [np.log10(_expm._THETA13 * 2 ** (s - 0.5))
                                          for s in range(1, 10)])
     def test_frechet_matches_scipy_per_member(self, seed, log_norms):
-        # 1-norms from 1e-3 to 2e3 mix scaling exponents 0 to 9 in one stack
+        # 1-norms from 1e-3 to 2e3 mix scaling exponents 0 to 9 in one stack,
+        # so the derivative's rank, at most 13 2^s after s squarings, passes n = 16
         system = ising_chain(2, dephasing=0.3)
         rng = np.random.default_rng(seed)
         k = len(log_norms)
         ell = liouvillians(system, rng.standard_normal((k, 4)), rng.uniform(0.0, 5.0, (k, 1)))
         norm1 = np.abs(ell).sum(axis=-2).max(axis=-1)
         a = -(10.0 ** np.array(log_norms) / norm1)[:, None, None] * ell
-        e = rng.standard_normal(a.shape)
+        u, v = rng.standard_normal((2, k, 16))
         r, frechet = _expm.expm(a, derivative=True)
-        l = frechet(e)
+        l = frechet(u, v)
         assert r.dtype == l.dtype == np.float64
         for j in range(k):
-            ref_r, ref_l = scipy.linalg.expm_frechet(a[j], e[j])
+            ref_r, ref_l = scipy.linalg.expm_frechet(a[j], np.outer(u[j], v[j]))
             # scipy scales to 1-norm 4.74 rather than 5.37; near 1-norm 2e3 the
             # two then differ by up to 2.8e-13, mostly on scipy's side against
             # a 40-digit reference, so the bound grows as 4 ||a||_1 u there
@@ -327,24 +332,26 @@ class TestExpm:
         scale = 10.0 ** rng.uniform(-1.0, 2.0, 7)
         a = -scale[:, None, None] * liouvillians(system, rng.standard_normal((7, 4)),
                                                  rng.uniform(0.0, 5.0, (7, 1)))
-        e = rng.standard_normal(a.shape)
+        u, v = rng.standard_normal((2, 7, 16))
         r, frechet = _expm.expm(a, derivative=True)
-        l = frechet(e)
+        l = frechet(u, v)
         for j in range(len(a)):
             rj, frechet_j = _expm.expm(a[j], derivative=True)
-            lj = frechet_j(e[j])
+            lj = frechet_j(u[j], v[j])
             np.testing.assert_array_equal(r[j], rj)
             np.testing.assert_array_equal(l[j], lj)
 
-    @pytest.mark.parametrize("a, e", [
-        (np.full((4, 4), np.nan), np.zeros((4, 4))),
-        (np.zeros((4, 4)), np.full((4, 4), np.nan)),
-        (np.array([[800.0]]), np.array([[1.0]])),
-        (np.array([[700.0]]), np.array([[1e10]])),
-    ], ids=["nan-exponent", "nan-direction", "overflowing-exp", "overflowing-derivative"])
-    def test_frechet_bad_input_raises_health_error(self, a, e):
+    @pytest.mark.parametrize("a, u, v", [
+        (np.full((4, 4), np.nan), np.zeros(4), np.zeros(4)),
+        (np.zeros((4, 4)), np.full(4, np.nan), np.zeros(4)),
+        (np.array([[800.0]]), np.array([1.0]), np.array([1.0])),
+        (np.array([[700.0]]), np.array([1e5]), np.array([1e5])),
+        (np.zeros((4, 4)), np.zeros(4), np.array([0.0, np.nan, 0.0, 0.0])),
+    ], ids=["nan-exponent", "nan-direction", "overflowing-exp", "overflowing-derivative",
+            "nan-v"])
+    def test_frechet_bad_input_raises_health_error(self, a, u, v):
         with pytest.raises(NumericalHealthError):
-            _expm.expm(a, derivative=True)[1](e)
+            _expm.expm(a, derivative=True)[1](u, v)
 
 
 @pytest.mark.parametrize("call", [

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from noisectrl import _expm
 from noisectrl.exceptions import NumericalHealthError
 from noisectrl.lindblad import assemble_liouvillian, liouvillians, pauli_basis, propagator
-from noisectrl.models import ising_chain, thermal_state, zero_state
+from noisectrl.models import ghz_state, ion_trap_model, ising_chain, thermal_state, zero_state
 from noisectrl.optim import (ControlSequence, TransferProblem, error, gradient,
                              optimize, optimize_restarts, propagate,
                              random_sequence)
@@ -175,13 +175,13 @@ class TestGradient:
         np.testing.assert_allclose(g[:, 2], 0, atol=1e-8)
 
 
-def mixed_scale_problem():
-    """A 2-qubit problem whose ten slice exponents -dt L_k have scaling
+def mixed_scale_problem(n=2):
+    """An n-qubit problem whose ten slice exponents -dt L_k have scaling
     exponents 0 to 9, so the Pade squarings of one stack are masked."""
-    system = ising_chain(2, gamma_star=5.0, dephasing=0.3)
-    problem = TransferProblem(system, random_density(2, 11), random_density(2, 12), 0.1, 10)
+    system = ising_chain(n, gamma_star=5.0, dephasing=0.3)
+    problem = TransferProblem(system, random_density(n, 11), random_density(n, 12), 0.1, 10)
     rng = np.random.default_rng(13)
-    v = rng.standard_normal((10, 4))
+    v = rng.standard_normal((10, 2 * n))
     no_noise = np.zeros((10, 1))
     drive = np.abs(liouvillians(system, v, no_noise) - liouvillians(system, 0 * v, no_noise))
     # slice k > 0 has 1-norm near theta13 2^(k - 1/2), slice 0 is the drift alone
@@ -191,10 +191,32 @@ def mixed_scale_problem():
     seq = ControlSequence(dt=problem.dt, u=amplitude[:, None] * v,
                           gamma=rng.uniform(0.0, 5.0, (10, 1)))
     a = -problem.dt * liouvillians(system, seq.u, seq.gamma)
-    norm1 = np.abs(a).sum(axis=-2).max(axis=-1)
-    scaling = np.ceil(np.log2(np.maximum(norm1 / _expm._THETA13, 1.0)))
-    assert sorted(scaling) == list(range(10))
+    assert sorted(scaling_exponents(a)) == list(range(10))
     return problem, seq, a
+
+
+def scaling_exponents(a):
+    norm1 = np.abs(a).sum(axis=-2).max(axis=-1)
+    return np.ceil(np.log2(np.maximum(norm1 / _expm._THETA13, 1.0)))
+
+
+def assert_gradient_matches_scipy_frechet(problem, seq, a):
+    """The gradient within 1e-13 of max|ref|, where ref takes each slice's Q_k
+    from scipy.linalg.expm_frechet on A_k^T."""
+    x = _expm.expm(a)
+    basis = pauli_basis(problem.system.n).conj().T
+    f = [np.real(basis @ vec(problem.rho0))]
+    for xk in x:
+        f.append(xk @ f[-1])
+    b = [f[-1] - np.real(basis @ vec(problem.target))]
+    for xk in x[:0:-1]:
+        b.insert(0, xk.T @ b[0])
+    directions = problem.system.pauli_generators[1:]
+    q = [scipy.linalg.expm_frechet(a[k].T, np.outer(b[k], f[k]), compute_expm=False)
+         for k in range(len(a))]
+    ref = np.array([[-2.0 * problem.dt * np.sum(qk * d) for d in directions] for qk in q])
+    grad = gradient(problem, seq)
+    assert np.abs(grad - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestSharedPadeState:
@@ -216,20 +238,21 @@ class TestSharedPadeState:
         np.testing.assert_array_equal(x, exact(a))    # bit for bit those of error()
 
     def test_gradient_matches_scipy_frechet_per_slice(self):
-        problem, seq, a = mixed_scale_problem()
-        x = _expm.expm(a)
-        f = [np.real(pauli_basis(2).conj().T @ vec(problem.rho0))]
-        for xk in x:
-            f.append(xk @ f[-1])
-        b = [f[-1] - np.real(pauli_basis(2).conj().T @ vec(problem.target))]
-        for xk in x[:0:-1]:
-            b.insert(0, xk.T @ b[0])
-        directions = problem.system.pauli_generators[1:]
-        ref = np.array([[-2.0 * problem.dt * np.sum(
-            scipy.linalg.expm_frechet(a[k].T, np.outer(b[k], f[k]), compute_expm=False) * d)
-            for d in directions] for k in range(len(a))])
-        grad = gradient(problem, seq)
-        assert np.abs(grad - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert_gradient_matches_scipy_frechet(*mixed_scale_problem())
+
+    def test_gradient_matches_scipy_frechet_per_slice_on_three_qubits(self):
+        # N^2 = 64 against 13 Krylov vectors a side
+        assert_gradient_matches_scipy_frechet(*mixed_scale_problem(3))
+
+    def test_gradient_matches_scipy_frechet_per_slice_on_the_ion_trap(self):
+        # N^2 = 256; the two slices scale by different exponents
+        system = ion_trap_model()
+        problem = TransferProblem(system, thermal_state(4), ghz_state(4), 10.0, 2)
+        seq = random_sequence(problem, 1)
+        seq = ControlSequence(dt=seq.dt, u=seq.u * np.array([[0.1], [1.0]]), gamma=seq.gamma)
+        a = -problem.dt * liouvillians(system, seq.u, seq.gamma)
+        assert len(set(scaling_exponents(a))) == 2
+        assert_gradient_matches_scipy_frechet(problem, seq, a)
 
 
 @settings(max_examples=20, deadline=None)
