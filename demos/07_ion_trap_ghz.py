@@ -11,7 +11,7 @@ to the long-horizon accuracies.
 import numpy as np
 
 from noisectrl import (TransferProblem, ghz_state, ion_trap_model, optimize,
-                       propagate, random_sequence, thermal_state)
+                       random_sequence, thermal_state)
 
 system = ion_trap_model(gamma_star=5.0)
 problem = TransferProblem(system, thermal_state(4), ghz_state(4),
@@ -24,8 +24,7 @@ hist = result.error_history
 print(f"delta_F along the run: start {hist[0]:.3f} -> best {hist.min():.3f} "
       f"({len(hist)} evaluations)")
 
-traj = propagate(problem, result.sequence)
 print("largest eigenvalues of the final state:",
-      np.round(traj.sorted_eigenvalues[-1][:3], 3))
+      np.round(result.trajectory.sorted_eigenvalues[-1][:3], 3))
 print("a longer run (see tests/test_nightly.py) pushes the purity further;")
 print("the noise stays near its maximum for most of the sequence.")

@@ -22,8 +22,9 @@ x, their derivatives along y = u v^T are K_u H_p K_v^T and K_u H_q K_v^T,
 where K_u = [u, x u, ..., x^12 u] and K_v = [v, x^T v, ..., (x^T)^12 v] are
 13 Krylov vectors built from the kept powers and H_p[i, l] = b_(i+l+1),
 H_q[i, l] = (-1)^(i+l+1) b_(i+l+1) are constant Hankel tables.  The Pade
-stage is then a solve with 13 right-hand sides, and the dense derivative
-runs up the squaring ladder as L <- R L + L R.
+stage is then a solve with 13 right-hand sides, and its rank-13 result
+runs up the squaring ladder L <- R L + L R as thin factors, doubling their
+width per step, until a dense L costs less.
 Non-finite, singular or overflowing cases raise
 :class:`NumericalHealthError` (CLI exit 3); non-square or mismatched input
 ``ValueError``.
@@ -133,20 +134,30 @@ def _krylov(powers, v):
 def _frechet(state, u, v):
     """L(a, u v^T) for a stack from its Pade state, with u and v of shape (k, n).
 
-    At the scaled x, L_0 = q^-1 (L_p - L_q R_0) = q^-1 K_u (H_p K_v^T -
-    H_q K_v^T R_0), a solve with 13 right-hand sides; each squaring
-    R <- R R then carries L <- R L + L R.
+    At the scaled x, L_0 = P W^T with P = q^-1 K_u, a solve with 13
+    right-hand sides, and W^T = H_p K_v^T - H_q K_v^T R_0.  Each squaring
+    R <- R R carries L <- R L + L R, on the thin factors as P <- [R P, P],
+    W^T <- [W^T; W^T R] (zero columns R P for members not squaring) while
+    the doubled width is at most n, then on the dense L = P W^T.
     """
     s, scale, powers, den, r0, ladder = state
     with np.errstate(over="ignore", invalid="ignore"):
         ku = _krylov(powers, u[..., None] / scale)
         kvt = np.swapaxes(_krylov([np.swapaxes(p, -1, -2) for p in powers], v[..., None]),
                           -1, -2)
-        l = _solve(den, ku) @ (_HP @ kvt - _HQ @ (kvt @ r0))
+        p, wt, l = _solve(den, ku), _HP @ kvt - _HQ @ (kvt @ r0), None
         for step, rt in enumerate(ladder):
             todo = _todo(s, step)
+            if 2 * p.shape[-1] <= p.shape[-2]:
+                rp, wtr = np.zeros_like(p), wt.copy()
+                rp[todo] = rt @ p[todo]
+                wtr[todo] = wt[todo] @ rt
+                p, wt = np.concatenate([rp, p], axis=-1), np.concatenate([wt, wtr], axis=-2)
+                continue
+            l = p @ wt if l is None else l
             lt = l[todo]
             l[todo] = rt @ lt + lt @ rt
+        l = p @ wt if l is None else l
     if not np.all(np.isfinite(l)):
         raise NumericalHealthError("derivative of the matrix exponential overflowed")
     return l

@@ -276,12 +276,13 @@ def _write_result(path: Path, payload: dict):
 # its CSV artifacts and returns the payload of result.json
 
 def _run_transfer(built, out):
-    """simulate and optimize: propagate the given or the optimized sequence."""
+    """simulate and optimize: propagate the given sequence or take the optimized
+    one with its trajectory."""
     problem = built["problem"]
     result = {"duration": problem.total_time}
     if "optimizer" in built:
         best, finals = optim.optimize_restarts(problem, **built["optimizer"])
-        seq = best.sequence
+        seq, traj = best.sequence, best.trajectory
         result.update({
             "final_error": best.final_error,
             "converged": bool(best.converged),
@@ -291,7 +292,7 @@ def _run_transfer(built, out):
         })
     else:
         seq = built["sequence"]
-    traj = optim.propagate(problem, seq)
+        traj = optim.propagate(problem, seq)
     tvec = vec(as_matrix(problem.target))
     errors = [frobenius_error(state, tvec) for state in traj.states]
     _write_trajectory(out / "trajectory.csv", traj.times, traj.sorted_eigenvalues, errors)

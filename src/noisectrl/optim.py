@@ -23,8 +23,10 @@ propagators and keeps each slice's Pade-13 state, from which all M
 derivatives follow at the slice size without a second exponential: the
 Pade stage needs only the 13 Krylov vectors x^j f_k and (x^T)^j b_k of the
 scaled exponent x (Al-Mohy & Higham 2009, Alg. 6.4, along f_k b_k^T), and
-the squaring ladder runs on the dense derivative.  One derivative per
-slice serves every direction.  The L_k are
+the squaring ladder carries the derivative as thin factors while they are
+narrower than half the slice size.  One derivative per slice serves every
+direction.  :func:`optimize` keeps the forward states of its best point, so
+its trajectory needs no second propagation.  The L_k are
 non-normal, so no eigendecomposition is used.  Box constraints (noise
 amplitudes in [0, gamma_max], coherent amplitudes free) are handled by a
 projected limited-memory quasi-Newton iteration (scipy's L-BFGS-B).
@@ -138,19 +140,24 @@ def _forward(problem, x):
     return f
 
 
+def _trajectory(problem, f) -> Trajectory:
+    """The trajectory of the forward states f_0 .. f_M in Pauli coordinates."""
+    f = f @ pauli_basis(problem.system.n).T
+    dim = problem.system.dim
+    # f[k] is vec(rho_k) (column stacking), so each row reshapes to rho_k^T
+    spectra = _health_spectra(f.reshape(-1, dim, dim).transpose(0, 2, 1), "slice")
+    times = problem.dt * np.arange(len(f))
+    return Trajectory(times=times, states=f, sorted_eigenvalues=spectra)
+
+
 def propagate(problem: TransferProblem, seq: ControlSequence) -> Trajectory:
     """Propagate slice by slice, recording every state and its spectrum.
 
     The states pass ``qops._health_spectra``, which names the first bad slice.
     """
     _check_sequence(problem, seq)
-    f = _forward(problem, _expm.expm(_exponents(problem, seq.u, seq.gamma)))
-    f = f @ pauli_basis(problem.system.n).T
-    dim = problem.system.dim
-    # f[k] is vec(rho_k) (column stacking), so each row reshapes to rho_k^T
-    spectra = _health_spectra(f.reshape(-1, dim, dim).transpose(0, 2, 1), "slice")
-    times = problem.dt * np.arange(seq.slice_count + 1)
-    return Trajectory(times=times, states=f, sorted_eigenvalues=spectra)
+    x = _expm.expm(_exponents(problem, seq.u, seq.gamma))
+    return _trajectory(problem, _forward(problem, x))
 
 
 def error(problem: TransferProblem, seq: ControlSequence) -> float:
@@ -163,7 +170,7 @@ def error(problem: TransferProblem, seq: ControlSequence) -> float:
 
 
 def _error_and_gradient(problem, u, gamma):
-    """delta_F^2 and its exact gradient, columns ordered controls then noises."""
+    """delta_F^2, its exact gradient (controls then noises) and the forward states."""
     x, frechet = _expm.expm(_exponents(problem, u, gamma), derivative=True)
     f = _forward(problem, x)
     m, dim2 = x.shape[:2]
@@ -177,7 +184,7 @@ def _error_and_gradient(problem, u, gamma):
     q_t = frechet(f[:m], b)
     grad = -2.0 * problem.dt * np.tensordot(q_t, problem.system.pauli_generators[1:],
                                              axes=([2, 1], [1, 2]))
-    return float(r @ r), grad
+    return float(r @ r), grad, f
 
 
 def gradient(problem: TransferProblem, seq: ControlSequence) -> np.ndarray:
@@ -190,13 +197,16 @@ def gradient(problem: TransferProblem, seq: ControlSequence) -> np.ndarray:
     forward propagators, so there is no step size and no second exponential.
     """
     _check_sequence(problem, seq)
-    _, grad = _error_and_gradient(problem, seq.u, seq.gamma)
+    _, grad, _ = _error_and_gradient(problem, seq.u, seq.gamma)
     return grad
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The best sequence seen and its trajectory, equal to ``propagate(problem, sequence)``."""
+
     sequence: ControlSequence
+    trajectory: Trajectory
     error_history: np.ndarray
     final_error: float
     iterations: int
@@ -220,7 +230,8 @@ def optimize(problem: TransferProblem, init: ControlSequence,
     ends the run.  The returned history holds delta_F per objective
     evaluation, the reported ``iterations`` counts completed L-BFGS
     iterations over all restarts, and the reported sequence is the best one
-    seen.
+    seen.  Its trajectory is built from the forward states that the
+    objective kept at that point, so no slice is exponentiated again.
     """
     _check_sequence(problem, init)
     _amplitudes(problem.system, init.u, init.gamma)    # L-BFGS-B would clip them silently
@@ -236,7 +247,7 @@ def optimize(problem: TransferProblem, init: ControlSequence,
     x0 = np.concatenate([init.u.ravel(), init.gamma.T.ravel()])
 
     history: list[float] = []
-    best = {"err": np.inf, "x": x0}
+    best = {"err": np.inf, "x": x0, "f": None}
     iterations = 0
 
     def count_iteration(*_):
@@ -246,7 +257,7 @@ def optimize(problem: TransferProblem, init: ControlSequence,
     def objective(xflat):
         u = xflat[:m * n_c].reshape(m, n_c)
         gamma = xflat[m * n_c:].reshape(n_g, m).T
-        e2, grad = _error_and_gradient(problem, u, gamma)
+        e2, grad, f = _error_and_gradient(problem, u, gamma)
         if not np.isfinite(e2):
             raise NumericalHealthError("objective became non-finite")
         err = float(np.sqrt(e2))
@@ -254,6 +265,7 @@ def optimize(problem: TransferProblem, init: ControlSequence,
         if err < best["err"]:
             best["err"] = err
             best["x"] = xflat.copy()
+            best["f"] = f
         gflat = np.concatenate([grad[:, :n_c].ravel(), grad[:, n_c:].T.ravel()])
         if err <= tol:
             raise _ToleranceReached
@@ -280,7 +292,8 @@ def optimize(problem: TransferProblem, init: ControlSequence,
     seq = ControlSequence(dt=init.dt,
                           u=xb[:m * n_c].reshape(m, n_c),
                           gamma=xb[m * n_c:].reshape(n_g, m).T)
-    return OptimizationResult(sequence=seq, error_history=np.array(history),
+    return OptimizationResult(sequence=seq, trajectory=_trajectory(problem, best["f"]),
+                              error_history=np.array(history),
                               final_error=best["err"], iterations=iterations,
                               converged=converged, message=message)
 

@@ -326,6 +326,28 @@ class TestExpm:
             for got, ref in ((r[j], ref_r), (l[j], ref_l), (r[j], _expm.expm(a[j]))):
                 assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
 
+    @pytest.mark.parametrize("n, exponents", [(2, [0, 1, 2, 3, 4, 5, 6]), (3, [0, 2, 3, 4]),
+                                              (4, [0, 1, 3, 5])])
+    def test_frechet_ladder_crossover_matches_scipy(self, n, exponents):
+        # the rank-13 derivative climbs the ladder as thin factors while their
+        # doubled width 13 2^(step+1) is at most N^2, then densifies: at step 0
+        # on 16^2, after two steps on 64^2 and after four on 256^2; members
+        # that stop squaring earlier ride along as zero columns
+        system = ising_chain(n, dephasing=0.3)
+        rng = np.random.default_rng(n)
+        k = len(exponents)
+        ell = liouvillians(system, rng.standard_normal((k, 2 * n)), rng.uniform(0.0, 5.0, (k, 1)))
+        norm1 = _expm._THETA13 * 2.0 ** (np.array(exponents) - 0.5)
+        a = -(norm1 / np.abs(ell).sum(axis=-2).max(axis=-1))[:, None, None] * ell
+        u, v = rng.standard_normal((2, k, 4 ** n))
+        l = _expm.expm(a, derivative=True)[1](u, v)
+        state = _expm._pade(a, keep=True)[1]
+        assert list(state[0]) == exponents
+        for j in range(k):
+            ref = scipy.linalg.expm_frechet(a[j], np.outer(u[j], v[j]), compute_expm=False)
+            rtol = max(1e-13, 2 * norm1[j] * np.finfo(float).eps)
+            assert np.abs(l[j] - ref).max() <= rtol * np.abs(ref).max()
+
     def test_stack_equals_one_member_at_a_time(self):
         system = ising_chain(2)
         rng = np.random.default_rng(8)

@@ -303,6 +303,20 @@ class TestOptimize:
         running_best = np.minimum.accumulate(result.error_history)
         assert np.all(np.diff(running_best) <= 0)
 
+    def test_trajectory_is_that_of_propagate(self):
+        # the trajectory comes from the objective's forward states at the best
+        # point, bit for bit those of a second propagation
+        system = ising_chain(2, gamma_star=5.0)
+        problem = TransferProblem(system, random_density(2, 31), random_density(2, 32),
+                                  4.0, 16)
+        result = optimize(problem, random_sequence(problem, 33), max_iters=5, tol=1e-9)
+        best, finals = optimize_restarts(problem, restarts=3, seed=2, max_iters=3, tol=1e-9)
+        assert finals.index(best.final_error) < len(finals) - 1
+        for res in (result, best):
+            traj = propagate(problem, res.sequence)
+            for name in ("times", "states", "sorted_eigenvalues"):
+                np.testing.assert_array_equal(getattr(res.trajectory, name), getattr(traj, name))
+
     def test_projected_gradient_small_at_optimum(self):
         system = ising_chain(1, noise_kind="bitflip", gamma_star=5.0)
         problem = TransferProblem(system, zero_state(1), thermal_state(1), 6.0, 12)

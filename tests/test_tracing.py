@@ -29,6 +29,10 @@ def test_tracer_wraps_every_entry_point(monkeypatch):
 
 
 TINY_JOBS = {
+    "simulate": {
+        "system": {"model": "ising_chain", "n": 1, "noise": "bitflip", "gamma_star": 5.0},
+        "initial": {"state": "zero"}, "target": {"state": "thermal"},
+        "horizon": {"T": 2.0, "slices": 4}},
     "optimize": {
         "system": {"model": "ising_chain", "n": 1, "noise": "bitflip", "gamma_star": 5.0},
         "initial": {"state": "zero"}, "target": {"state": "thermal"},
