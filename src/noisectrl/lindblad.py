@@ -31,8 +31,9 @@ contracts slice amplitudes with that stack, so it and
 :func:`assemble_liouvillian` return real Pauli-basis generators.  States
 return to ``vec(rho)`` only where they leave the library: in
 ``optim.Trajectory.states`` and in the cached hold propagators of
-``schedule.propagate_schedule``.  Everything is dense; the target scale is
-a handful of qubits.
+``schedule.propagate_schedule``.  Everything is dense, though
+:func:`propagator` exponentiates a generator one block of its sparsity
+pattern at a time; the target scale is a handful of qubits.
 """
 
 from __future__ import annotations
@@ -254,9 +255,32 @@ def assemble_liouvillian(system, u, gamma) -> np.ndarray:
 
 
 def propagator(ell: np.ndarray, dt: float) -> np.ndarray:
-    """Slice propagator X = exp(-dt L), valid for non-normal L, in L's basis."""
+    """Slice propagator X = exp(-dt L), valid for non-normal L, in L's basis.
+
+    The exponential of a matrix that is block diagonal up to a permutation
+    is block diagonal in the same blocks, so ``-dt L`` is exponentiated one
+    connected component of its nonzero pattern at a time: one
+    ``_expm.expm`` call per block size, scattered into a zero matrix.  A
+    schedule hold (diagonal drift plus noise on one qubit) splits this way
+    into blocks of dimension at most 8; a connected pattern is one block,
+    whose exponential is ``_expm.expm(-dt L)`` bit for bit.  Anything but a
+    nonempty square matrix goes to ``_expm.expm``, which raises.
+    """
     check("dt", dt, rule="nonnegative")
-    return _expm.expm(-dt * np.asarray(ell))
+    a = -dt * np.asarray(ell)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        return _expm.expm(a)
+    # imported here, not at module level: only schedule holds pay its import
+    from scipy.sparse.csgraph import connected_components
+    labels = connected_components(a != 0, directed=True, connection="weak")[1]
+    size = np.bincount(labels)[labels]
+    order = np.lexsort((labels, size))   # by block size, then block; indices ascending
+    out = np.zeros(a.shape, dtype=float if np.isrealobj(a) else complex)
+    for k in np.unique(size):
+        idx = order[size[order] == k].reshape(-1, k)
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        out[rows, cols] = _expm.expm(a[rows, cols])
+    return out
 
 
 # ---------------------------------------------------------------------------

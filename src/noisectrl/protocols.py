@@ -96,11 +96,12 @@ def init_protocol(n: int, gamma_star: float, coupling: float,
     so the prediction is :func:`init_error`.
     """
     _check_protocol(n, gamma_star, coupling, total_noise_time, charge_swap_time)
+    tau = total_noise_time / n
     schedule, swaps = _qubit_cycle(n, coupling, charge_swap_time,
-                                   [_hold(n, gamma_star, total_noise_time / n, "damp")])
+                                   [_hold(n, gamma_star, tau, "damp")])
     return ProtocolReport(schedule=schedule,
                           predicted_error=init_error(n, gamma_star, total_noise_time),
-                          predicted_duration=total_noise_time + swaps, formula_id="th0est")
+                          predicted_duration=n * tau + swaps, formula_id="th0est")
 
 
 def init_time_bound(n: int, gamma_star: float, coupling: float,
@@ -163,8 +164,9 @@ def erase_protocol_bitflip(n: int, gamma_star: float, coupling: float,
                            charge_swap_time: bool = True) -> ProtocolReport:
     """|0...0> toward the thermal state with bit-flip noise, qubit by qubit."""
     _check_protocol(n, gamma_star, coupling, total_noise_time, charge_swap_time)
+    tau = total_noise_time / n
     schedule, swaps = _qubit_cycle(n, coupling, charge_swap_time,
-                                   [_hold(n, gamma_star, total_noise_time / n, "average")])
+                                   [_hold(n, gamma_star, tau, "average")])
     return ProtocolReport(schedule=schedule,
                           predicted_error=erase_error_bitflip(n, gamma_star, total_noise_time),
-                          predicted_duration=total_noise_time + swaps, formula_id="zeroth_est")
+                          predicted_duration=n * tau + swaps, formula_id="zeroth_est")

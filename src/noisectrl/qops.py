@@ -153,10 +153,15 @@ def sorted_spectrum(rho) -> np.ndarray:
     return np.linalg.eigvalsh(m)[::-1].copy()
 
 
-def _health_spectra(states, where: str) -> np.ndarray:
+def _health_spectra(states, where: str, first: int = 0) -> np.ndarray:
     """Descending spectra of one propagated state (N, N) or a stack (..., N, N), or a
     NumericalHealthError naming (``where`` and stack index) the first non-finite state or
-    one not Hermitian, unit-trace and positive semidefinite within ``_HEALTH_ATOL``."""
+    one not Hermitian, unit-trace and positive semidefinite within ``_HEALTH_ATOL``.
+
+    A stack's leading index is counted from ``first``, so a caller that checks a long
+    sequence one stack at a time names a bad state by its place in the whole sequence.
+    One ``eigvalsh`` call serves the stack, and a state's spectrum in it is, bit for bit,
+    the one it gets when checked alone (the schedule tests check this)."""
     m = np.asarray(states)
     herm = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
     try:
@@ -167,8 +172,9 @@ def _health_spectra(states, where: str) -> np.ndarray:
     ok = (herm <= _HEALTH_ATOL) & (dev <= _HEALTH_ATOL) & (evals[..., 0] >= -_HEALTH_ATOL)
     if not ok.all():
         k = np.unravel_index(np.argmin(ok), ok.shape)
+        at = [where, *map(str, (k[0] + first, *k[1:]) if k else ())]
         raise NumericalHealthError(
-            f"state at {' '.join([where, *map(str, k)])} violates density-operator invariants "
+            f"state at {' '.join(at)} violates density-operator invariants "
             f"(herm {herm[k]:.2e}, trace dev {dev[k]:.2e}, min eig {evals[k][0]:.2e})")
     return evals[..., ::-1].copy()
 

@@ -23,6 +23,9 @@ from .qops import _density, _health_spectra, unvec, vec
 
 __all__ = ["UnitarySegment", "HoldSegment", "Schedule", "propagate_schedule"]
 
+# size of one stack of recorded states checked together: 256 four-qubit states
+_CHECK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class UnitarySegment:
@@ -76,10 +79,13 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
     matrix: a unitary acts as ``U rho U^dag``, a hold as its propagator on
     ``vec(rho)``.  Hold propagators are memoized on (amplitudes, duration),
     which collapses the cost of the long repetitive decoupling trains; each
-    is exponentiated in the real Pauli basis and taken to the column-stacked
-    basis once, when it enters the memo.  ``rho0`` must be a valid
-    DensityOperator of the system's dimension.  Every recorded state, or the
-    final one, passes ``qops._health_spectra``, which names the first bad boundary.
+    is built on first use by ``lindblad.propagator`` (one exponential per
+    sparsity block of the real Pauli-basis generator) and taken to the
+    column-stacked basis once, when it enters the memo.  ``rho0`` must be a
+    valid DensityOperator of the system's dimension.  The final state, or
+    with ``record`` every state, passes ``qops._health_spectra``, which names
+    the first bad boundary; recorded states are checked, and their spectra
+    taken, in stacks of at most about ``_CHECK_BYTES``.
     """
     rho = _density(rho0).matrix
     if len(rho) != system.dim:
@@ -88,7 +94,10 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
     basis = pauli_basis(system.n)
     cache: dict = {}
     times = [0.0]
-    spectra = [_health_spectra(rho, "segment boundary 0")] if record else None
+    spectra = []
+    if record:    # boundary i waits in row i % len(states) until its stack is checked
+        states = np.empty((max(1, _CHECK_BYTES // rho.nbytes),) + rho.shape, dtype=complex)
+        states[0] = rho
     t = 0.0
     for i, seg in enumerate(schedule.segments, 1):
         if isinstance(seg, UnitarySegment):
@@ -105,10 +114,15 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
             t += seg.duration
         if record:
             times.append(t)
-            spectra.append(_health_spectra(rho, f"segment boundary {i}"))
-    if not record:
+            if i % len(states) == 0:
+                spectra.append(_health_spectra(states, "segment boundary", i - len(states)))
+            states[i % len(states)] = rho
+    if record:
+        last = len(schedule) % len(states) + 1
+        spectra.append(_health_spectra(states[:last], "segment boundary", len(schedule) + 1 - last))
+    else:
         _health_spectra(rho, f"segment boundary {len(schedule)}")
     rho = (rho + rho.conj().T) / 2
     if record:
-        return rho, np.array(times), np.array(spectra)
+        return rho, np.array(times), np.concatenate(spectra)
     return rho

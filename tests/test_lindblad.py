@@ -452,6 +452,76 @@ class TestPropagator:
         with pytest.raises(NumericalHealthError):
             propagator(bad, 1.0)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 3), (0, 0)])
+    def test_non_square_generator_raises_value_error(self, shape):
+        with pytest.raises(ValueError):
+            propagator(np.zeros(shape), 0.1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), sizes=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+           is_complex=st.booleans(), log_norm=st.floats(-3.0, 2.0))
+    def test_permuted_block_diagonal_generator(self, seed, sizes, is_complex, log_norm):
+        # each block is skew plus positive semidefinite, so exp(-t L) is a
+        # contraction and its entries are at most 1; scipy's own error against a
+        # 40-digit reference reaches 1.3e-14 on such draws near its unscaled 1-norm
+        # threshold (this module's 6e-17 there), hence 2e-14 rather than 1e-14
+        rng = np.random.default_rng(seed)
+
+        def draw(k):
+            g, h = rng.standard_normal((2, k, k)) + (1j * rng.standard_normal((2, k, k))
+                                                     if is_complex else 0.0)
+            return h - h.conj().T + g @ g.conj().T
+
+        ell = scipy.linalg.block_diag(*(draw(k) for k in sizes))
+        linked = ell.copy()
+        ends = np.cumsum(sizes)[:-1]
+        linked[ends - 1, ends] = 0.5       # one entry joins each block to the next
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        perm = rng.permutation(len(ell))
+        ell, linked, block = ell[np.ix_(perm, perm)], linked[np.ix_(perm, perm)], block[perm]
+        dt = 10.0 ** log_norm / np.abs(ell).sum(axis=0).max()
+
+        x = propagator(ell, dt)
+        assert x.dtype == ell.dtype
+        assert np.all(x[block[:, None] != block] == 0)
+        ref = scipy.linalg.expm(-dt * ell)
+        assert np.abs(x - ref).max() <= 2e-14 * max(1.0, np.abs(ref).max())
+        np.testing.assert_array_equal(propagator(linked, dt), _expm.expm(-dt * linked))
+        # dt = 0 leaves no nonzero entry: every index is its own 1 x 1 block
+        still = propagator(ell, 0.0)
+        assert np.all(still[~np.eye(len(ell), dtype=bool)] == 0)
+        np.testing.assert_allclose(np.diag(still), 1.0, rtol=0, atol=1e-15)
+        ell[tuple(rng.integers(len(ell), size=2))] = np.nan
+        with pytest.raises(NumericalHealthError):
+            propagator(ell, dt)
+
+    def test_hold_is_exponentiated_one_block_size_per_call(self, monkeypatch):
+        # a 4-qubit bit-flip hold: 108 blocks, 32 of dimension 1, 48 of 2, 24 of 4, 4 of 8
+        system = ising_chain(4, noise_kind="bitflip", gamma_star=5.0)
+        ell = assemble_liouvillian(system, np.zeros(8), np.array([5.0]))
+        shapes = []
+        exact = _expm.expm
+        monkeypatch.setattr(_expm, "expm", lambda a: shapes.append(a.shape) or exact(a))
+        propagator(ell, 0.37)
+        assert shapes == [(32, 1, 1), (48, 2, 2), (24, 4, 4), (4, 8, 8)]
+
+    def test_hold_matches_a_40_digit_reference(self):
+        # a 4-qubit bit-flip hold splits into 108 blocks of dimension 1 to 8; the
+        # reference exponentiates each block at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        from scipy.sparse.csgraph import connected_components
+        system = ising_chain(4, noise_kind="bitflip", gamma_star=5.0)
+        ell = assemble_liouvillian(system, np.zeros(8), np.array([5.0]))
+        a = -0.37 * ell
+        count, label = connected_components(a != 0, directed=True, connection="weak")
+        assert count == 108
+        ref = np.zeros(a.shape)
+        with mpmath.workdps(40):
+            for c in range(count):
+                idx = np.ix_(label == c, label == c)
+                ref[idx] = np.array(mpmath.expm(mpmath.matrix(a[idx].tolist())).tolist(), dtype=float)
+        assert np.abs(propagator(ell, 0.37) - ref).max() <= 1e-15
+
     @pytest.mark.parametrize("theta, gamma_t", [(2.0, 1.0), (-0.1, 1.0), (0.3, -1.0),
                                                 (np.nan, 1.0), (0.3, np.nan)])
     def test_theta_channel_rejects_out_of_range_arguments(self, theta, gamma_t):

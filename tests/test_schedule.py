@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisectrl import _expm
+from noisectrl import _expm, schedule as schedule_module
 from noisectrl.exceptions import NumericalHealthError
 from noisectrl.lindblad import assemble_liouvillian, pauli_basis, propagator
 from noisectrl.models import ising_chain, zero_state
-from noisectrl.qops import random_density, sorted_spectrum, unvec, vec
+from noisectrl.qops import _health_spectra, random_density, sorted_spectrum, unvec, vec
+from noisectrl.reach import hlp_execute, hlp_plan
 from noisectrl.schedule import (HoldSegment, Schedule, UnitarySegment,
                                 propagate_schedule)
 
@@ -92,3 +93,49 @@ class TestPropagateSchedule:
         with pytest.raises(NumericalHealthError, match="segment boundary 1 violates"):
             propagate_schedule(system, Schedule(segments=(hold,)), zero_state(2),
                                record=record)
+
+
+class TestRecordedStatesInStacks:
+    """Recorded states are checked in stacks of at most ``_CHECK_BYTES``: 256
+    four-qubit states, fewer than a four-qubit HLP schedule records."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        system = ising_chain(4, noise_kind="bitflip", gamma_star=5.0)
+        y = np.sort(np.random.default_rng(4).dirichlet(np.ones(16)))[::-1]
+        plan = hlp_plan(y, np.full(16, 1 / 16), gamma_star=5.0, residual_target=1e-3)
+        schedule = hlp_execute(plan, system, trotter_steps=8)
+        stack = schedule_module._CHECK_BYTES // (16 * 16 * 16)
+        assert len(schedule) + 1 > 2 * stack
+        return system, schedule, np.diag(plan.initial_spectrum).astype(complex), stack
+
+    def test_spectra_equal_one_state_checks_bit_for_bit(self, chain, monkeypatch):
+        system, schedule, rho0, stack = chain
+        stacks = []
+
+        def spy(states, where, first=0):
+            stacks.append((first, np.array(states)))
+            return _health_spectra(states, where, first)
+
+        monkeypatch.setattr(schedule_module, "_health_spectra", spy)
+        _, times, spectra = propagate_schedule(system, schedule, rho0, record=True)
+        assert [first for first, _ in stacks] == list(range(0, len(schedule) + 1, stack))
+        states = np.concatenate([states for _, states in stacks])
+        assert len(states) == len(spectra) == len(times) == len(schedule) + 1
+        for state, row in zip(states, spectra):
+            np.testing.assert_array_equal(row, _health_spectra(state, "one state"))
+        # boundary k holds the state after k segments, on either side of a stack edge
+        for k in (0, stack - 1, stack, stack + 1, 2 * stack, len(schedule)):
+            prefix = Schedule(segments=schedule.segments[:k])
+            np.testing.assert_array_equal((states[k] + states[k].conj().T) / 2,
+                                          propagate_schedule(system, prefix, rho0))
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_bad_state_past_the_first_stack_is_named_by_its_boundary(self, chain, record):
+        system, schedule, rho0, stack = chain
+        k = stack + 37
+        nan = UnitarySegment(np.full((16, 16), np.nan))
+        bad = Schedule(segments=schedule.segments[:k - 1] + (nan,) + schedule.segments[k - 1:])
+        where = k if record else len(bad)
+        with pytest.raises(NumericalHealthError, match=f"segment boundary {where} violates"):
+            propagate_schedule(system, bad, rho0, record=record)
