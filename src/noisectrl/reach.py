@@ -17,7 +17,7 @@ import numpy as np
 from . import _expm
 from .exceptions import ConfigurationError, ReachabilityError, check
 from .lindblad import v_theta
-from .qops import DensityOperator, _density, as_matrix, embed_local
+from .qops import DensityOperator, _density, _square, as_matrix, embed_local
 from .schedule import HoldSegment, Schedule, UnitarySegment
 
 __all__ = [
@@ -492,22 +492,29 @@ def predict_executed_spectrum(plan: HlpPlan, system, trotter_steps: int = 64) ->
 def lie_closure_dimension(generators) -> int:
     """Dimension of the real Lie algebra generated by {i H} under commutators.
 
-    The traceless parts of the generators are orthonormalized first, then
-    each basis element b_i in turn is offered its brackets [g, b_i] with
-    every orthonormalized generator g (two Gram-Schmidt passes in the
-    Hilbert-Schmidt inner product, threshold ``_CLOSURE_TOL``).  The
-    generators are first divided by the largest entry among them, so the
-    dimension does not depend on the Hamiltonians' units; Hermiticity is
-    checked relative to each generator's largest entry.  Left-normed brackets
+    The algebra is the smallest span that holds the generators and is
+    closed under every ad_g, built as a block Krylov space.  An element iH
+    is held as N^2 real coordinates of H, its diagonal and sqrt2 Re,
+    sqrt2 Im of its upper triangle, whose dot product is the Hilbert-Schmidt
+    inner product for any N.  The generators' traceless parts, divided by
+    the largest entry among them so that the dimension does not depend on
+    the Hamiltonians' units, are orthonormalized as one block.  Each round
+    takes the block B of elements the previous round added and, for each
+    orthonormalized generator g, forms the stacked bracket g @ B - B @ g,
+    projects the current basis out of it twice (two GEMMs a pass), drops
+    candidates whose residual norm is at most ``_CLOSURE_TOL`` and takes
+    the new orthonormal directions from one SVD, keeping singular values
+    above ``_CLOSURE_TOL``.  The cost per generator per round is one
+    stacked bracket, two projections and one SVD.  Hermiticity is checked
+    relative to each generator's largest entry.  Left-normed brackets
     [g_1, [g_2, [..., g_k]]] span the generated algebra (D'Alessandro,
     *Introduction to Quantum Control and Dynamics*, ch. 3); the final span
-    holds the generators and is closed under every ad_g, so by induction on
-    k it holds them all, and brackets of two basis elements are never
-    needed.  Candidates are traceless and anti-Hermitian, so the loop stops
-    at su(N), dimension N^2 - 1: full unitary controllability.  The cost is
-    (generators x dimension) brackets, one stacked product per element.
+    holds the generators and the brackets of every g with each of its
+    elements, so by induction on k it holds them all, and brackets of two
+    basis elements are never needed.  Elements are traceless, so the span
+    is capped at su(N), dimension N^2 - 1: full unitary controllability.
     """
-    mats = [as_matrix(g) for g in generators]
+    mats = [_square(g) for g in generators]
     if not mats:
         raise ValueError("need at least one generator")
     dim = mats[0].shape[0]
@@ -520,25 +527,42 @@ def lie_closure_dimension(generators) -> int:
             raise ValueError("generators must be Hermitian")
     scale = max(np.abs(m).max() for m in mats) or 1.0
 
-    basis = np.empty((dim * dim, dim, dim), dtype=complex)
-    flat = basis.reshape(dim * dim, -1)
+    diag, (iu, ju) = np.arange(dim), np.triu_indices(dim, 1)
+    n_up = len(iu)
+
+    def coordinates(h: np.ndarray) -> np.ndarray:
+        up = np.sqrt(2.0) * h[:, iu, ju]
+        return np.concatenate([h[:, diag, diag].real, up.real, up.imag], axis=1)
+
+    def hermitian(x: np.ndarray) -> np.ndarray:
+        h = np.zeros((len(x), dim, dim), dtype=complex)
+        h[:, diag, diag] = x[:, :dim]
+        up = (x[:, dim:dim + n_up] + 1j * x[:, dim + n_up:]) / np.sqrt(2.0)
+        h[:, iu, ju], h[:, ju, iu] = up, up.conj()
+        return h
+
+    cap = dim * dim - 1
+    basis = np.empty((cap, dim * dim))
     size = 0
 
-    def try_add(candidate: np.ndarray) -> None:
+    def extend(candidates: np.ndarray) -> None:
         nonlocal size
-        v = candidate.reshape(-1)
         for _ in range(2):
-            v = v - flat[:size].T @ (flat[:size].conj() @ v)
-        nrm = np.linalg.norm(v)
-        if nrm > _CLOSURE_TOL:
-            flat[size] = v / nrm
-            size += 1
+            candidates = candidates - (candidates @ basis[:size].T) @ basis[:size]
+        candidates = candidates[np.linalg.norm(candidates, axis=1) > _CLOSURE_TOL]
+        if len(candidates):
+            _, s, vt = np.linalg.svd(candidates, full_matrices=False)
+            new = vt[s > _CLOSURE_TOL][:cap - size]
+            basis[size:size + len(new)] = new
+            size += len(new)
 
-    for m in mats:
-        try_add(1j / scale * (m - (np.trace(m) / dim) * np.eye(dim)))
-    gens, i = basis[:size], 0
-    while i < size < dim * dim - 1:
-        for candidate in gens @ basis[i] - basis[i] @ gens:
-            try_add(candidate)
-        i += 1
+    h = np.stack(mats) / scale
+    extend(coordinates(h - np.trace(h, axis1=1, axis2=2)[:, None, None] / dim * np.eye(dim)))
+    gens, start = hermitian(basis[:size]), 0
+    while start < size < cap:
+        block, start = hermitian(basis[start:size]), size
+        for g in gens:
+            # g @ B - B @ g from one GEMM: g @ B = (B @ g)^H for Hermitian g and B
+            bg = (block.reshape(-1, dim) @ g).reshape(block.shape)
+            extend(coordinates(1j * (bg.conj().transpose(0, 2, 1) - bg)))
     return size

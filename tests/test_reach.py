@@ -436,6 +436,22 @@ class TestLieClosure:
         with pytest.raises(ValueError, match="finite"):
             lie_closure_dimension([SIGMA_X, bad])
 
+    @pytest.mark.parametrize("bad", [[np.zeros((0, 0))], [np.array([1.0, 0.0])]],
+                             ids=["empty", "one-dimensional"])
+    def test_rejects_non_square(self, bad):
+        with pytest.raises(ValueError, match="expected a nonempty square matrix"):
+            lie_closure_dimension(bad)
+
+    @pytest.mark.parametrize("gens, expected", [
+        ([SIGMA_X, SIGMA_X, 2.0 * SIGMA_X, 0.0 * SIGMA_Z], 1),
+        ([np.zeros((3, 3)), np.zeros((3, 3))], 0),
+        ([np.array([[2.0]])], 0),
+    ], ids=["duplicates-and-zero", "all-zero", "one-by-one"])
+    def test_block_edge_cases(self, gens, expected):
+        # duplicate candidates in the first SVD, candidates dropped at the norm
+        # filter, and an empty basis when N^2 - 1 = 0
+        assert lie_closure_dimension(gens) == expected
+
     def test_proper_subalgebra_of_su4(self):
         # so(4): ZZ with x-only local terms never reaches the y-rotations
         gens = [pauli_string("ZZ"), pauli_string("XI"), pauli_string("IX")]
@@ -546,3 +562,27 @@ def test_closure_dimension_is_unit_invariant(gens, exponent):
     leaves the generated algebra and so its dimension unchanged."""
     c = 10.0 ** exponent
     assert lie_closure_dimension([c * g for g in gens]) == lie_closure_dimension(gens)
+
+
+@st.composite
+def sparse_hermitian_sets(draw):
+    """One to three random Hermitian generators at a non-qubit dimension (or
+    1), each with one to three random entries and their mirror images."""
+    dim = draw(st.sampled_from([6, 5, 3, 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        h = np.zeros((dim, dim), dtype=complex)
+        for _ in range(draw(st.integers(1, 3))):
+            j, k = rng.integers(dim, size=2)
+            h[j, k] += rng.standard_normal() + (1j * rng.standard_normal() if j != k else 0)
+        gens.append(h + h.conj().T)
+    return gens
+
+
+@settings(max_examples=30, deadline=None)
+@given(gens=sparse_hermitian_sets())
+def test_closure_matches_all_pairs_reference_beyond_qubits(gens):
+    """The real Hermitian coordinates hold for any N: sparse generator sets at
+    dimensions 1, 3, 5 and 6 close to the all-pairs reference's dimension."""
+    assert lie_closure_dimension(gens) == _all_pairs_closure(gens)
