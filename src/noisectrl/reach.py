@@ -31,6 +31,8 @@ __all__ = [
 
 _SUM_ATOL = 1e-10
 _CLOSURE_TOL = 1e-10
+# closure elements taken at a time; see lie_closure_dimension
+_CLOSURE_BLOCK = 8
 
 
 # ---------------------------------------------------------------------------
@@ -498,21 +500,28 @@ def lie_closure_dimension(generators) -> int:
     sqrt2 Im of its upper triangle, whose dot product is the Hilbert-Schmidt
     inner product for any N.  The generators' traceless parts, divided by
     the largest entry among them so that the dimension does not depend on
-    the Hamiltonians' units, are orthonormalized as one block.  Each round
-    takes the block B of elements the previous round added and, for each
-    orthonormalized generator g, forms the stacked bracket g @ B - B @ g,
-    projects the current basis out of it twice (two GEMMs a pass), drops
-    candidates whose residual norm is at most ``_CLOSURE_TOL`` and takes
-    the new orthonormal directions from one SVD, keeping singular values
-    above ``_CLOSURE_TOL``.  The cost per generator per round is one
-    stacked bracket, two projections and one SVD.  Hermiticity is checked
-    relative to each generator's largest entry.  Left-normed brackets
-    [g_1, [g_2, [..., g_k]]] span the generated algebra (D'Alessandro,
-    *Introduction to Quantum Control and Dynamics*, ch. 3); the final span
-    holds the generators and the brackets of every g with each of its
-    elements, so by induction on k it holds them all, and brackets of two
-    basis elements are never needed.  Elements are traceless, so the span
-    is capped at su(N), dimension N^2 - 1: full unitary controllability.
+    the Hamiltonians' units, are orthonormalized first.  The basis is then
+    walked in the order it was found, ``_CLOSURE_BLOCK`` elements at a
+    time: for a block B and each orthonormalized generator g the stacked
+    bracket g @ B - B @ g has the current basis projected out of it twice
+    (two GEMMs a pass, dropping candidates whose residual norm is at most
+    ``_CLOSURE_TOL`` after each pass), and the new orthonormal directions
+    come from one SVD, keeping singular values above ``_CLOSURE_TOL``.
+    The generators are offered in blocks of the same size.  The cost per
+    block per generator is one stacked bracket, at most two projections
+    and at most one SVD.  At su(16) a block of 8 against a full basis is
+    8 x 256 x 255 multiply-adds a product, under the 2^19 at which
+    OpenBLAS starts to split a GEMM over threads: a second thread saves
+    nothing at that size and stalls every call while another process
+    holds its core, so the closure runs on the calling thread alone.
+    Hermiticity is checked relative to each generator's largest entry.
+    Left-normed brackets [g_1, [g_2, [..., g_k]]] span the generated
+    algebra (D'Alessandro, *Introduction to Quantum Control and Dynamics*,
+    ch. 3); the final span holds the generators and the brackets of every
+    g with each of its elements, so by induction on k it holds them all,
+    and brackets of two basis elements are never needed.  Elements are
+    traceless, so the span is capped at su(N), dimension N^2 - 1: full
+    unitary controllability.
     """
     mats = [_square(g) for g in generators]
     if not mats:
@@ -549,7 +558,7 @@ def lie_closure_dimension(generators) -> int:
         nonlocal size
         for _ in range(2):
             candidates = candidates - (candidates @ basis[:size].T) @ basis[:size]
-        candidates = candidates[np.linalg.norm(candidates, axis=1) > _CLOSURE_TOL]
+            candidates = candidates[np.linalg.norm(candidates, axis=1) > _CLOSURE_TOL]
         if len(candidates):
             _, s, vt = np.linalg.svd(candidates, full_matrices=False)
             new = vt[s > _CLOSURE_TOL][:cap - size]
@@ -557,10 +566,13 @@ def lie_closure_dimension(generators) -> int:
             size += len(new)
 
     h = np.stack(mats) / scale
-    extend(coordinates(h - np.trace(h, axis1=1, axis2=2)[:, None, None] / dim * np.eye(dim)))
+    x = coordinates(h - np.trace(h, axis1=1, axis2=2)[:, None, None] / dim * np.eye(dim))
+    for lo in range(0, len(x), _CLOSURE_BLOCK):
+        extend(x[lo:lo + _CLOSURE_BLOCK])
     gens, start = hermitian(basis[:size]), 0
     while start < size < cap:
-        block, start = hermitian(basis[start:size]), size
+        stop = min(start + _CLOSURE_BLOCK, size)
+        block, start = hermitian(basis[start:stop]), stop
         for g in gens:
             # g @ B - B @ g from one GEMM: g @ B = (B @ g)^H for Hermitian g and B
             bg = (block.reshape(-1, dim) @ g).reshape(block.shape)

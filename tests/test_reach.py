@@ -462,6 +462,15 @@ class TestLieClosure:
         gens = [drift, pauli_string("XII"), pauli_string("IXI"), pauli_string("IIX")]
         assert lie_closure_dimension(gens) == _all_pairs_closure(gens) == 15
 
+    def test_more_generators_than_one_block(self):
+        # 17 and 10 generators are offered in several blocks of _CLOSURE_BLOCK
+        labels = [a + b for a in "IXYZ" for b in "IXYZ"][1:]
+        gens = [pauli_string(lab) for lab in labels] + [pauli_string("XY"), 2.0 * pauli_string("ZZ")]
+        assert lie_closure_dimension(gens) == 15
+        gens = [pauli_string(lab) for lab in ("XII", "IXI", "IIX", "ZZI", "IZZ",
+                                              "XXI", "IXX", "XIX", "ZIZ", "XXX")]
+        assert lie_closure_dimension(gens) == _all_pairs_closure(gens)
+
 
 PAULIS = {"I": np.eye(2, dtype=complex), "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
