@@ -238,8 +238,11 @@ def validate(config, mode: str | None = None) -> list[str]:
 # artifact writers
 
 def _write_table(path: Path, labels, columns):
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=",".join(labels), comments="")
+    """A CSV table under a header row, each number as ``%.17g``: the bytes of
+    ``np.savetxt(fmt="%.17g", delimiter=",")``, formatted by one ``%``."""
+    table = np.column_stack(columns)
+    rows = (",".join(["%.17g"] * table.shape[1]) + "\n") * len(table)
+    path.write_text(",".join(labels) + "\n" + rows % tuple(table.ravel().tolist()))
 
 
 def _write_trajectory(path: Path, times, spectra, errors):

@@ -30,10 +30,15 @@ first use of ``ControlSystem.pauli_generators``.  :func:`liouvillians`
 contracts slice amplitudes with that stack, so it and
 :func:`assemble_liouvillian` return real Pauli-basis generators.  States
 return to ``vec(rho)`` only where they leave the library: in
-``optim.Trajectory.states`` and in the cached hold propagators of
-``schedule.propagate_schedule``.  Everything is dense, though
-:func:`propagator` exponentiates a generator one block of its sparsity
-pattern at a time; the target scale is a handful of qubits.
+``optim.Trajectory.states`` and in the cached holds of
+``schedule.propagate_schedule``.  Entry ``(i, j)`` of an operator lies in
+the *flip sector* ``i ^ j``, and ``P_a`` has entries only in the sector
+whose bit for qubit q is set where ``a_q`` is x or y; so ``B`` is block
+diagonal in the ``2^n`` sectors, and a cached hold keeps one block per
+group of sectors its propagator couples.  Generators and GRAPE
+propagators are dense; :func:`propagator` exponentiates a generator one
+block of its sparsity pattern at a time.  The target scale is a handful
+of qubits.
 """
 
 from __future__ import annotations
@@ -136,6 +141,20 @@ def pauli_basis(n: int) -> np.ndarray:
     on ``vec(rho)``; the returned array is shared and read-only.
     """
     return _pauli_tables(check("n", n, int, 1))[0]
+
+
+def _components(pattern: np.ndarray) -> list:
+    """Weakly connected components of a square boolean pattern: one ``(count, k)``
+    index array per component size ``k``, ascending; a row is one component.
+
+    A sparse pattern skips scipy's masked-array validation of a dense one."""
+    # imported here, not at module level: only schedule holds pay its import
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+    labels = connected_components(csr_array(pattern), directed=True, connection="weak")[1]
+    size = np.bincount(labels)[labels]
+    order = np.lexsort((labels, size))   # by block size, then block; indices ascending
+    return [order[size[order] == k].reshape(-1, k) for k in np.unique(size)]
 
 
 def _operators(terms, dim: int) -> np.ndarray:
@@ -249,9 +268,17 @@ def assemble_liouvillian(system, u, gamma) -> np.ndarray:
     ``u`` are unbounded real coherent amplitudes, one per control; ``gamma``
     must lie in [0, gamma_max] for each switchable noise channel.
     Background (non-switchable) noise terms of the system are always added.
+    The amplitudes are contracted as a vector over the stack's rows whose
+    amplitude is nonzero: one matrix-vector product, small enough that
+    OpenBLAS keeps it on the calling thread.
     """
-    return liouvillians(system, np.asarray(u, dtype=float)[None],
-                        np.asarray(gamma, dtype=float)[None])[0]
+    u, gamma = _amplitudes(system, np.asarray(u, dtype=float)[None],
+                           np.asarray(gamma, dtype=float)[None])
+    stack = system.pauli_generators
+    amps = np.concatenate([[1.0], u[0], gamma[0]])
+    used = np.flatnonzero(amps)
+    size = stack.shape[-1]
+    return (amps[used] @ stack[used].reshape(len(used), -1)).reshape(size, size)
 
 
 def propagator(ell: np.ndarray, dt: float) -> np.ndarray:
@@ -270,14 +297,8 @@ def propagator(ell: np.ndarray, dt: float) -> np.ndarray:
     a = -dt * np.asarray(ell)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         return _expm.expm(a)
-    # imported here, not at module level: only schedule holds pay its import
-    from scipy.sparse.csgraph import connected_components
-    labels = connected_components(a != 0, directed=True, connection="weak")[1]
-    size = np.bincount(labels)[labels]
-    order = np.lexsort((labels, size))   # by block size, then block; indices ascending
     out = np.zeros(a.shape, dtype=float if np.isrealobj(a) else complex)
-    for k in np.unique(size):
-        idx = order[size[order] == k].reshape(-1, k)
+    for idx in _components(a != 0):
         rows, cols = idx[:, :, None], idx[:, None, :]
         out[rows, cols] = _expm.expm(a[rows, cols])
     return out

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lindblad import assemble_liouvillian, pauli_basis, propagator
-from .qops import _density, _health_spectra, unvec, vec
+from .lindblad import _components, assemble_liouvillian, pauli_basis, propagator
+from .qops import _density, _health_spectra
 
 __all__ = ["UnitarySegment", "HoldSegment", "Schedule", "propagate_schedule"]
 
@@ -71,28 +71,76 @@ class Schedule:
         return len(self.segments)
 
 
+def _hold_blocks(x: np.ndarray, n: int) -> list:
+    """A real Pauli-basis hold propagator ``x`` as flip-sector blocks of ``B x B^dag``.
+
+    Entry ``(i, j)`` of a state lies in flip sector ``i ^ j``, and column
+    ``a`` of ``B = pauli_basis(n)`` only in the sector whose bit for qubit
+    q is set where the string digit ``a_q`` is x or y (1 or 2), so
+    ``B x B^dag`` couples two sectors only where ``x`` does.  Returns one
+    ``(index, m)`` pair per size of the groups of sectors that ``x``
+    couples: ``index`` (groups, k 2^n) holds the row-major flat indices of
+    each group's state entries and ``m`` the matching blocks of
+    ``B x B^dag``.  A hold of diagonal drift and noise gives 2^n one-sector
+    groups; one that couples every sector is the whole dense change.
+    """
+    basis = pauli_basis(n)
+    dim = 2 ** n
+    cells = np.arange(dim * dim)
+    sector = (cells // dim) ^ (cells % dim)       # of a row-major or a vec index alike
+    digits = cells[:, None] // 4 ** np.arange(n - 1, -1, -1) % 4
+    of_string = ((digits == 1) | (digits == 2)) @ 2 ** np.arange(n - 1, -1, -1)
+    entries = np.argsort(sector, kind="stable").reshape(dim, dim)
+    order = np.argsort(of_string, kind="stable")
+    strings = order.reshape(dim, dim)
+    rows = (x != 0)[order].reshape(dim, dim, -1).any(axis=1)    # (sector, string)
+    coupled = rows[:, order].reshape(dim, dim, dim).any(axis=2)
+    blocks = []
+    for group in _components(coupled):
+        index = entries[group].reshape(len(group), -1)
+        paulis = strings[group].reshape(len(group), -1)
+        vecs = index % dim * dim + index // dim     # vec index of each entry
+        b = basis[vecs[:, :, None], paulis[:, None, :]]
+        m = b @ x[paulis[:, :, None], paulis[:, None, :]] @ b.conj().swapaxes(-1, -2)
+        blocks.append((index, m))
+    return blocks
+
+
+def _phases(unitary: np.ndarray, shape: tuple):
+    """``outer(p, conj(p))`` for a diagonal unitary with diagonal ``p``, else None;
+    ``U rho U^dag`` of a diagonal ``U`` is ``rho`` times it, entry by entry."""
+    if unitary.shape != shape:
+        return None
+    p = np.diagonal(unitary)
+    return np.outer(p, p.conj()) if np.array_equal(unitary, np.diag(p)) else None
+
+
 def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
     """Apply a schedule to a state.
 
     Returns the final density matrix, or ``(final, times, spectra)`` with
     one row per segment boundary when ``record`` is set.  The state stays a
-    matrix: a unitary acts as ``U rho U^dag``, a hold as its propagator on
-    ``vec(rho)``.  Hold propagators are memoized on (amplitudes, duration),
+    matrix.  A diagonal unitary acts as ``rho * outer(p, conj(p))`` with its
+    diagonal ``p``, any other as ``U rho U^dag``, decided once per distinct
+    segment object.  A hold acts on the state's entries gathered into flip
+    sectors, one batched matrix-vector product per block size of its
+    :func:`_hold_blocks`.  Holds are memoized on (amplitudes, duration),
     which collapses the cost of the long repetitive decoupling trains; each
     is built on first use by ``lindblad.propagator`` (one exponential per
-    sparsity block of the real Pauli-basis generator) and taken to the
-    column-stacked basis once, when it enters the memo.  ``rho0`` must be a
-    valid DensityOperator of the system's dimension.  The final state, or
-    with ``record`` every state, passes ``qops._health_spectra``, which names
-    the first bad boundary; recorded states are checked, and their spectra
-    taken, in stacks of at most about ``_CHECK_BYTES``.
+    sparsity block of the real Pauli-basis generator) and taken to sector
+    blocks of the column-stacked basis once, when it enters the memo.
+    ``rho0`` must be a valid DensityOperator of the system's dimension.  The
+    final state, or with ``record`` every state, passes
+    ``qops._health_spectra``, which names the first bad boundary; recorded
+    states are checked, and their spectra taken, in stacks of at most about
+    ``_CHECK_BYTES``.
     """
     rho = _density(rho0).matrix
     if len(rho) != system.dim:
         raise ValueError(f"rho0 dimension {len(rho)} does not match "
                          f"the system dimension {system.dim}")
-    basis = pauli_basis(system.n)
-    cache: dict = {}
+    holds: dict = {}
+    unitaries: dict = {}
     times = [0.0]
     spectra = []
     if record:    # boundary i waits in row i % len(states) until its stack is checked
@@ -101,16 +149,24 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
     t = 0.0
     for i, seg in enumerate(schedule.segments, 1):
         if isinstance(seg, UnitarySegment):
-            rho = seg.unitary @ rho @ seg.unitary.conj().T
+            if id(seg) not in unitaries:
+                unitaries[id(seg)] = _phases(seg.unitary, rho.shape)
+            phases = unitaries[id(seg)]
+            if phases is None:
+                rho = seg.unitary @ rho @ seg.unitary.conj().T
+            else:
+                rho = rho * phases
             t += seg.charged_duration
         else:
             key = (seg.u.tobytes(), seg.gamma.tobytes(), seg.duration)
-            x = cache.get(key)
-            if x is None:
+            blocks = holds.get(key)
+            if blocks is None:
                 ell = assemble_liouvillian(system, seg.u, seg.gamma)
-                x = basis @ propagator(ell, seg.duration) @ basis.conj().T
-                cache[key] = x
-            rho = unvec(x @ vec(rho))
+                blocks = holds[key] = _hold_blocks(propagator(ell, seg.duration), system.n)
+            flat, out = rho.ravel(), np.empty(rho.size, dtype=complex)
+            for index, m in blocks:
+                out[index] = (m @ flat[index][..., None])[..., 0]
+            rho = out.reshape(rho.shape)
             t += seg.duration
         if record:
             times.append(t)

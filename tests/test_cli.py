@@ -254,6 +254,25 @@ def test_slice_table_holds_every_value_at_full_precision(tmp_path):
                          "1,0.10000000000000001,1e-300,-2.5e+17,5"]
 
 
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(0, 6), width=st.integers(0, 4), data=st.data())
+def test_table_writer_is_savetxt_byte_for_byte(rows, width, data):
+    # an integer column beside float columns with signed zeros, subnormals and non-finite values
+    values = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1 / 3]))
+    ints = np.array(data.draw(st.lists(st.integers(-2 ** 60, 2 ** 60), min_size=rows,
+                                       max_size=rows)), dtype=np.int64)
+    floats = np.array(data.draw(st.lists(values, min_size=rows * width,
+                                         max_size=rows * width))).reshape(rows, width)
+    columns = [ints, floats] if width else [ints]
+    labels = ["k"] + [f"c{i}" for i in range(width)]
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
+        cli._write_table(ours, labels, columns)
+        np.savetxt(ref, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=",".join(labels), comments="")
+        assert ours.read_bytes() == ref.read_bytes()
+
+
 def test_controllability_never_builds_the_generator_stack(tmp_path, monkeypatch):
     def refuse(system):
         raise AssertionError("generator stack built")

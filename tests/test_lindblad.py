@@ -209,6 +209,21 @@ class TestPauliStack:
         assert np.abs(coords.imag).max() < 1e-16
         assert coords[0] == pytest.approx(0.5)     # tr(rho) / sqrt(N)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_basis_is_zero_outside_its_flip_sector_blocks(self, n):
+        # entry (i, j), vec index j N + i, lies in sector i ^ j; string a in
+        # the sector whose bit for qubit q is set where a_q is x or y
+        dim = 2 ** n
+        b = pauli_basis(n)
+        v = np.arange(dim * dim)
+        entry_sector = (v % dim) ^ (v // dim)
+        digits = v[:, None] // 4 ** np.arange(n - 1, -1, -1) % 4
+        string_sector = ((digits == 1) | (digits == 2)) @ 2 ** np.arange(n - 1, -1, -1)
+        assert np.all(b[entry_sector[:, None] != string_sector] == 0)
+        for s in range(dim):
+            block = b[np.ix_(entry_sector == s, string_sector == s)]
+            np.testing.assert_allclose(block.conj().T @ block, np.eye(dim), rtol=0, atol=1e-15)
+
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 3), site=st.integers(1, 3),
            noise=st.one_of(st.sampled_from(["amp", "bitflip"]), st.floats(0.0, 1.0)),

@@ -19,14 +19,20 @@ def random_unitary(rng, dim):
 
 
 def random_schedule(rng, system, holds):
+    """A dense unitary, then holds that alternate between zero and random
+    controls, each followed by one shared diagonal kick or a dense unitary:
+    both forms of both segment kinds."""
+    kick = UnitarySegment(np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, system.dim))),
+                          label="kick")
     segments = [UnitarySegment(random_unitary(rng, system.dim), label="u")]
-    for _ in range(holds):
+    for k in range(holds):
+        coherent = k % 2 == 1
         segments.append(HoldSegment(
-            u=rng.standard_normal(len(system.controls)),
+            u=rng.standard_normal(len(system.controls)) * coherent,
             gamma=rng.uniform(0.0, 1.0, len(system.noises)) * system.gamma_bounds,
             duration=float(rng.uniform(0.05, 0.4)), label="hold"))
         segments.append(UnitarySegment(random_unitary(rng, system.dim),
-                                       charged_duration=0.25, label="u"))
+                                       charged_duration=0.25, label="u") if coherent else kick)
     return Schedule(segments=tuple(segments))
 
 
@@ -93,6 +99,58 @@ class TestPropagateSchedule:
         with pytest.raises(NumericalHealthError, match="segment boundary 1 violates"):
             propagate_schedule(system, Schedule(segments=(hold,)), zero_state(2),
                                record=record)
+
+
+class TestSectorHolds:
+    """A hold acts in blocks of the flip sectors its propagator couples."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("controls, groups", [
+        ("none", lambda n: (2 ** n, 1)),         # diagonal drift and noise: one sector each
+        ("x1", lambda n: (2 ** (n - 1), 2)),     # sigma_x on qubit 1 pairs s with s ^ 2^(n-1)
+        ("all", lambda n: (1, 2 ** n)),          # every control: one dense group
+    ])
+    def test_sector_hold_equals_the_dense_basis_change(self, n, controls, groups):
+        system = ising_chain(n, noise_kind="bitflip", gamma_star=5.0)
+        u = np.zeros(len(system.controls))
+        if controls == "x1":
+            u[0] = 0.7
+        elif controls == "all":
+            u = np.random.default_rng(n).standard_normal(len(u))
+        x = propagator(assemble_liouvillian(system, u, np.array([3.0])), 0.3)
+        b = pauli_basis(n)
+        dense = b @ x @ b.conj().T            # on vec(rho), the column-stacked state
+        blocks = schedule_module._hold_blocks(x, n)
+        dim = 2 ** n
+        assert [(len(index), index.shape[1] // dim) for index, _ in blocks] == [groups(n)]
+        op = np.zeros_like(dense)             # on rho.ravel(), the row-major state
+        for index, m in blocks:
+            op[index[:, :, None], index[:, None, :]] = m
+        assert np.array_equal(np.sort(np.concatenate([i.ravel() for i, _ in blocks])),
+                              np.arange(dim * dim))
+        v = np.arange(dim * dim)
+        row_major = v % dim * dim + v // dim
+        assert np.abs(op[np.ix_(row_major, row_major)] - dense).max() <= 1e-15 * np.abs(dense).max()
+
+    def test_diagonal_unitaries_act_as_phases_and_others_densely(self, monkeypatch):
+        calls = []
+        exact = schedule_module._phases
+        monkeypatch.setattr(schedule_module, "_phases",
+                            lambda unitary, shape: calls.append(unitary) or exact(unitary, shape))
+        system = ising_chain(2, noise_kind="bitflip", gamma_star=5.0)
+        rng = np.random.default_rng(3)
+        kick = UnitarySegment(np.diag(np.exp(1j * rng.uniform(-3, 3, 4))))
+        dense = UnitarySegment(random_unitary(rng, 4))
+        rho0 = random_density(2, 8).matrix
+        rho = propagate_schedule(system, Schedule(segments=(kick, dense, kick, dense, kick)), rho0)
+        assert len(calls) == 2                # decided once per distinct segment
+        assert exact(dense.unitary, (4, 4)) is None
+        p = np.diag(kick.unitary)
+        np.testing.assert_array_equal(exact(kick.unitary, (4, 4)), np.outer(p, p.conj()))
+        expected = rho0
+        for u in (kick, dense, kick, dense, kick):
+            expected = u.unitary @ expected @ u.unitary.conj().T
+        np.testing.assert_allclose(rho, expected, rtol=0, atol=1e-14)
 
 
 class TestRecordedStatesInStacks:
