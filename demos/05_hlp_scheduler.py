@@ -9,7 +9,7 @@ intervals that a full Lindblad propagation then verifies.
 
 import numpy as np
 
-from noisectrl import (DensityOperator, frobenius_error, hlp_execute,
+from noisectrl import (DensityOperator, HoldSegment, frobenius_error, hlp_execute,
                        hlp_plan, ising_chain, predict_executed_spectrum,
                        propagate_schedule, sorted_spectrum, thermal_state, vec)
 
@@ -27,8 +27,10 @@ print(f"predicted residual:  {plan.predicted_residual:.3e}")
 
 system = ising_chain(3, noise_kind="bitflip", gamma_star=gamma_star)
 schedule = hlp_execute(plan, system, trotter_steps=64)
+noise_on = sum(seg.duration for seg in schedule.segments
+               if isinstance(seg, HoldSegment) and np.any(seg.gamma))
 print(f"\n=== compiled schedule: {len(schedule)} segments, "
-      f"noise on for {schedule.noise_on_time:.4f}/J ===")
+      f"noise on for {noise_on:.4f}/J ===")
 
 rho0 = DensityOperator(np.diag(plan.initial_spectrum).astype(complex))
 rho_f = propagate_schedule(system, schedule, rho0)

@@ -239,10 +239,17 @@ def validate(config, mode: str | None = None) -> list[str]:
 
 def _write_table(path: Path, labels, columns):
     """A CSV table under a header row, each number as ``%.17g``: the bytes of
-    ``np.savetxt(fmt="%.17g", delimiter=",")``, formatted by one ``%``."""
+    ``np.savetxt(fmt="%.17g", delimiter=",")``.  One ``%`` formats the first of
+    each run of rows equal bit for bit (``-0.0`` and ``0.0`` print apart), whose
+    line is then repeated."""
     table = np.column_stack(columns)
-    rows = (",".join(["%.17g"] * table.shape[1]) + "\n") * len(table)
-    path.write_text(",".join(labels) + "\n" + rows % tuple(table.ravel().tolist()))
+    bits = table.view(np.uint8)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)][:len(table)])
+    lines = ((",".join(["%.17g"] * table.shape[1]) + "\n") * len(starts)
+             % tuple(table[starts].ravel().tolist())).splitlines(keepends=True)
+    counts = np.diff(np.r_[starts, len(table)]).tolist()
+    body = "".join(line * count for line, count in zip(lines, counts))
+    path.write_text(",".join(labels) + "\n" + body)
 
 
 def _write_trajectory(path: Path, times, spectra, errors):
@@ -258,14 +265,19 @@ def _write_slices(path: Path, system, seq: optim.ControlSequence):
 
 
 def _write_segments(path: Path, schedule: Schedule):
-    with path.open("w") as fh:
-        fh.write("segment,kind,label,duration,gamma_max\n")
-        for i, seg in enumerate(schedule.segments):
-            if isinstance(seg, HoldSegment):
-                fh.write(f"{i},hold,{seg.label},{_fmt(seg.duration)},"
-                         f"{_fmt(float(seg.gamma.max()) if seg.gamma.size else 0.0)}\n")
-            else:
-                fh.write(f"{i},unitary,{seg.label},{_fmt(seg.charged_duration)},0\n")
+    """One row per segment; the line after the index is formatted once per distinct
+    segment object."""
+    lines = {}
+    for seg in schedule.segments:
+        if id(seg) in lines:
+            continue
+        if isinstance(seg, HoldSegment):
+            lines[id(seg)] = (f"hold,{seg.label},{_fmt(seg.duration)},"
+                              f"{_fmt(float(seg.gamma.max()) if seg.gamma.size else 0.0)}\n")
+        else:
+            lines[id(seg)] = f"unitary,{seg.label},{_fmt(seg.charged_duration)},0\n"
+    path.write_text("segment,kind,label,duration,gamma_max\n" + "".join(
+        f"{i},{lines[id(seg)]}" for i, seg in enumerate(schedule.segments)))
 
 
 def _write_result(path: Path, payload: dict):

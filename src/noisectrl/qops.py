@@ -153,30 +153,41 @@ def sorted_spectrum(rho) -> np.ndarray:
     return np.linalg.eigvalsh(m)[::-1].copy()
 
 
-def _health_spectra(states, where: str, first: int = 0) -> np.ndarray:
-    """Descending spectra of one propagated state (N, N) or a stack (..., N, N), or a
+def _health_spectra(states, where: str, first: int = 0, carried=None, before=None) -> np.ndarray:
+    """Descending spectra of one propagated state (N, N) or a stack (k, N, N), or a
     NumericalHealthError naming (``where`` and stack index) the first non-finite state or
     one not Hermitian, unit-trace and positive semidefinite within ``_HEALTH_ATOL``.
 
-    A stack's leading index is counted from ``first``, so a caller that checks a long
-    sequence one stack at a time names a bad state by its place in the whole sequence.
-    One ``eigvalsh`` call serves the stack, and a state's spectrum in it is, bit for bit,
-    the one it gets when checked alone (the schedule tests check this)."""
+    A stack's index is counted from ``first``, so a caller that checks a long sequence one
+    stack at a time names a bad state by its place in the whole sequence.  Every state is
+    checked for finiteness, Hermiticity and trace.  A row marked in the mask ``carried``
+    takes the spectrum of the row before, the first row that of ``before`` (the previous
+    stack's last row).  That holds a state ``U rho U^dag`` after a unitary: its eigenvalues,
+    those of ``rho^1/2 U^dag U rho^1/2``, lie within ``||U^dag U - 1||_2 ||rho||_2`` of
+    ``rho``'s by Weyl's inequality.  One ``eigvalsh`` call serves the other rows, each
+    spectrum bit for bit the one its state gets when checked alone (the schedule tests
+    check this)."""
     m = np.asarray(states)
-    herm = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+    stack = m.reshape((-1,) + m.shape[-2:])
+    own = np.ones(len(stack), bool) if carried is None else ~np.asarray(carried)
+    herm = np.abs(stack - stack.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+    dev = np.abs(np.trace(stack, axis1=-2, axis2=-1).real - 1.0)
+    evals = np.empty(stack.shape[:-1])
+    evals[0] = np.nan if before is None else before[::-1]
+    fresh = stack if own.all() else stack[own]
     try:
-        evals = np.linalg.eigvalsh(m)
+        evals[own] = np.linalg.eigvalsh(fresh)
     except np.linalg.LinAlgError:    # raised by some non-finite entries; their herm is nan or inf
-        evals = np.linalg.eigvalsh(np.where(np.isfinite(herm)[..., None, None], m, 0))
-    dev = np.abs(evals.sum(axis=-1) - 1.0)    # the trace is the eigenvalue sum
-    ok = (herm <= _HEALTH_ATOL) & (dev <= _HEALTH_ATOL) & (evals[..., 0] >= -_HEALTH_ATOL)
+        evals[own] = np.linalg.eigvalsh(np.where(np.isfinite(herm[own])[:, None, None], fresh, 0))
+    evals = evals[np.maximum.accumulate(np.where(own, np.arange(len(own)), 0))]
+    ok = (herm <= _HEALTH_ATOL) & (dev <= _HEALTH_ATOL) & (evals[:, 0] >= -_HEALTH_ATOL)
     if not ok.all():
-        k = np.unravel_index(np.argmin(ok), ok.shape)
-        at = [where, *map(str, (k[0] + first, *k[1:]) if k else ())]
+        k = np.argmin(ok)
+        at = f"{where} {k + first}" if m.ndim == 3 else where
         raise NumericalHealthError(
-            f"state at {' '.join(at)} violates density-operator invariants "
+            f"state at {at} violates density-operator invariants "
             f"(herm {herm[k]:.2e}, trace dev {dev[k]:.2e}, min eig {evals[k][0]:.2e})")
-    return evals[..., ::-1].copy()
+    return evals[:, ::-1].reshape(m.shape[:-1])
 
 
 def random_density(n: int, seed: int) -> DensityOperator:

@@ -25,6 +25,8 @@ __all__ = ["UnitarySegment", "HoldSegment", "Schedule", "propagate_schedule"]
 
 # size of one stack of recorded states checked together: 256 four-qubit states
 _CHECK_BYTES = 1 << 20
+# largest ||U^dag U - 1||_F of a unitary whose recorded state carries the spectrum before it
+_EXACT = 1e-13
 
 
 @dataclass(frozen=True)
@@ -56,15 +58,6 @@ class Schedule:
         total = 0.0
         for seg in self.segments:
             total += seg.duration if isinstance(seg, HoldSegment) else seg.charged_duration
-        return total
-
-    @property
-    def noise_on_time(self) -> float:
-        """Total duration of the holds in which any noise amplitude is nonzero."""
-        total = 0.0
-        for seg in self.segments:
-            if isinstance(seg, HoldSegment) and np.any(seg.gamma):
-                total += seg.duration
         return total
 
     def __len__(self) -> int:
@@ -132,8 +125,12 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
     ``rho0`` must be a valid DensityOperator of the system's dimension.  The
     final state, or with ``record`` every state, passes
     ``qops._health_spectra``, which names the first bad boundary; recorded
-    states are checked, and their spectra taken, in stacks of at most about
-    ``_CHECK_BYTES``.
+    states are checked in stacks of at most about ``_CHECK_BYTES``.  A
+    recorded boundary after a unitary with ``||U^dag U - 1||_F <= _EXACT``,
+    decided once per distinct segment object, carries the spectrum before it,
+    which its own eigenvalues match within ``_EXACT ||rho||_2`` by Weyl's
+    inequality; the initial state and every boundary after a hold or another
+    unitary get their own ``eigvalsh``.
     """
     rho = _density(rho0).matrix
     if len(rho) != system.dim:
@@ -145,13 +142,16 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
     spectra = []
     if record:    # boundary i waits in row i % len(states) until its stack is checked
         states = np.empty((max(1, _CHECK_BYTES // rho.nbytes),) + rho.shape, dtype=complex)
-        states[0] = rho
+        states[0], carried = rho, np.zeros(len(states), bool)
     t = 0.0
     for i, seg in enumerate(schedule.segments, 1):
         if isinstance(seg, UnitarySegment):
             if id(seg) not in unitaries:
-                unitaries[id(seg)] = _phases(seg.unitary, rho.shape)
-            phases = unitaries[id(seg)]
+                u, phases = seg.unitary, _phases(seg.unitary, rho.shape)
+                gram = (np.diag(np.diagonal(phases).real) if phases is not None
+                        else u.conj().T @ u if u.shape == rho.shape else np.nan)
+                unitaries[id(seg)] = phases, np.linalg.norm(gram - np.eye(len(rho))) <= _EXACT
+            phases, exact = unitaries[id(seg)]
             if phases is None:
                 rho = seg.unitary @ rho @ seg.unitary.conj().T
             else:
@@ -168,14 +168,17 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
                 out[index] = (m @ flat[index][..., None])[..., 0]
             rho = out.reshape(rho.shape)
             t += seg.duration
+            exact = False
         if record:
             times.append(t)
             if i % len(states) == 0:
-                spectra.append(_health_spectra(states, "segment boundary", i - len(states)))
-            states[i % len(states)] = rho
+                spectra.append(_health_spectra(states, "segment boundary", i - len(states),
+                                               carried, spectra[-1][-1] if spectra else None))
+            states[i % len(states)], carried[i % len(states)] = rho, exact
     if record:
         last = len(schedule) % len(states) + 1
-        spectra.append(_health_spectra(states[:last], "segment boundary", len(schedule) + 1 - last))
+        spectra.append(_health_spectra(states[:last], "segment boundary", len(schedule) + 1 - last,
+                                       carried[:last], spectra[-1][-1] if spectra else None))
     else:
         _health_spectra(rho, f"segment boundary {len(schedule)}")
     rho = (rho + rho.conj().T) / 2

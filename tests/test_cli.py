@@ -257,12 +257,20 @@ def test_slice_table_holds_every_value_at_full_precision(tmp_path):
 @settings(max_examples=60, deadline=None)
 @given(rows=st.integers(0, 6), width=st.integers(0, 4), data=st.data())
 def test_table_writer_is_savetxt_byte_for_byte(rows, width, data):
-    # an integer column beside float columns with signed zeros, subnormals and non-finite values
-    values = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1 / 3]))
+    # an integer column beside float columns with signed zeros, subnormals and non-finite
+    # values, each row repeated up to three times, some repeats differing only in the
+    # sign of their zeros
+    values = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1 / 3,
+                                                     np.nan, np.inf, -np.inf]))
     ints = np.array(data.draw(st.lists(st.integers(-2 ** 60, 2 ** 60), min_size=rows,
                                        max_size=rows)), dtype=np.int64)
     floats = np.array(data.draw(st.lists(values, min_size=rows * width,
                                          max_size=rows * width))).reshape(rows, width)
+    repeats = data.draw(st.lists(st.integers(1, 3), min_size=rows, max_size=rows))
+    ints, floats = np.repeat(ints, repeats), np.repeat(floats, repeats, axis=0)
+    flip = np.array(data.draw(st.lists(st.booleans(), min_size=len(ints), max_size=len(ints))),
+                    dtype=bool)
+    floats[flip] = np.where(floats[flip] == 0, -floats[flip], floats[flip])
     columns = [ints, floats] if width else [ints]
     labels = ["k"] + [f"c{i}" for i in range(width)]
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,25 +170,59 @@ class TestRecordedStatesInStacks:
         return system, schedule, np.diag(plan.initial_spectrum).astype(complex), stack
 
     def test_spectra_equal_one_state_checks_bit_for_bit(self, chain, monkeypatch):
+        # a row after a hold, and the initial row, is its state's own spectrum bit for bit;
+        # a row after a unitary carries the row before it, also across a stack edge
         system, schedule, rho0, stack = chain
         stacks = []
 
-        def spy(states, where, first=0):
-            stacks.append((first, np.array(states)))
-            return _health_spectra(states, where, first)
+        def spy(states, where, first=0, carried=None, before=None):
+            stacks.append((first, np.array(states), np.array(carried)))
+            return _health_spectra(states, where, first, carried, before)
 
         monkeypatch.setattr(schedule_module, "_health_spectra", spy)
         _, times, spectra = propagate_schedule(system, schedule, rho0, record=True)
-        assert [first for first, _ in stacks] == list(range(0, len(schedule) + 1, stack))
-        states = np.concatenate([states for _, states in stacks])
+        assert [first for first, _, _ in stacks] == list(range(0, len(schedule) + 1, stack))
+        states = np.concatenate([states for _, states, _ in stacks])
+        carried = np.concatenate([carried for _, _, carried in stacks])
         assert len(states) == len(spectra) == len(times) == len(schedule) + 1
-        for state, row in zip(states, spectra):
-            np.testing.assert_array_equal(row, _health_spectra(state, "one state"))
+        after_unitary = [False] + [isinstance(seg, UnitarySegment) for seg in schedule.segments]
+        np.testing.assert_array_equal(carried, after_unitary)
+        assert any(carried[first] for first, _, _ in stacks)
+        for k, (state, row) in enumerate(zip(states, spectra)):
+            own = _health_spectra(state, "one state")
+            if carried[k]:
+                np.testing.assert_array_equal(row, spectra[k - 1])
+                np.testing.assert_allclose(row, own, rtol=0, atol=1e-14)
+            else:
+                np.testing.assert_array_equal(row, own)
         # boundary k holds the state after k segments, on either side of a stack edge
         for k in (0, stack - 1, stack, stack + 1, 2 * stack, len(schedule)):
             prefix = Schedule(segments=schedule.segments[:k])
             np.testing.assert_array_equal((states[k] + states[k].conj().T) / 2,
                                           propagate_schedule(system, prefix, rho0))
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("row", [0, 37])
+    def test_non_unitary_segment_gets_its_own_spectrum(self, chain, record, row):
+        # 1.1 times a permutation scales the spectrum by 1.21: the boundary after it is
+        # named, with its own least eigenvalue, mid-stack or as the first row of a stack
+        system, schedule, rho0, stack = chain
+        k = stack + row
+        permutation = np.eye(16)[np.random.default_rng(k).permutation(16)]
+
+        def insert(u):
+            return schedule.segments[:k - 1] + (UnitarySegment(u),) + schedule.segments[k - 1:]
+
+        bad = Schedule(segments=insert(1.1 * permutation))
+        where = k if record else len(bad)
+        # the maps are linear, so the state at `where` is 1.21 times the unscaled one
+        least = 1.21 * np.linalg.eigvalsh(propagate_schedule(
+            system, Schedule(segments=insert(permutation)[:where]), rho0))[0]
+        with pytest.raises(NumericalHealthError,
+                           match=f"segment boundary {where} violates .*trace dev 2.10e-01") as err:
+            propagate_schedule(system, bad, rho0, record=record)
+        reported = float(re.search(r"min eig (\S+)\)", str(err.value)).group(1))
+        assert abs(reported - least) <= 5e-3 * abs(least)
 
     @pytest.mark.parametrize("record", [False, True])
     def test_bad_state_past_the_first_stack_is_named_by_its_boundary(self, chain, record):
