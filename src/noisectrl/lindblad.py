@@ -27,18 +27,17 @@ Each system's real generator stack ``(1 + C + L, N^2, N^2)`` (drift plus
 background noise, then ``i H_hat`` of each control, then ``Gamma_hat`` of
 each switchable noise) is built once, straight from Pauli products, on
 first use of ``ControlSystem.pauli_generators``.  :func:`liouvillians`
-contracts slice amplitudes with that stack, so it and
-:func:`assemble_liouvillian` return real Pauli-basis generators.  States
-return to ``vec(rho)`` only where they leave the library: in
-``optim.Trajectory.states`` and in the cached holds of
+contracts slice amplitudes with that stack; :func:`assemble_liouvillian`
+builds or reuses only the rows it reads.  Both return real Pauli-basis
+generators.  States return to ``vec(rho)`` only where they leave the
+library: in ``optim.Trajectory.states`` and in the cached holds of
 ``schedule.propagate_schedule``.  Entry ``(i, j)`` of an operator lies in
 the *flip sector* ``i ^ j``, and ``P_a`` has entries only in the sector
 whose bit for qubit q is set where ``a_q`` is x or y; so ``B`` is block
-diagonal in the ``2^n`` sectors, and a cached hold keeps one block per
-group of sectors its propagator couples.  Generators and GRAPE
-propagators are dense; :func:`propagator` exponentiates a generator one
-block of its sparsity pattern at a time.  The target scale is a handful
-of qubits.
+diagonal in the ``2^n`` sectors, and a cached hold exponentiates only the
+blocks of the groups of sectors its generator couples.  Generators and
+GRAPE propagators are dense; :func:`propagator` is one exponential of the
+whole generator.  The target scale is a handful of qubits.
 """
 
 from __future__ import annotations
@@ -143,20 +142,6 @@ def pauli_basis(n: int) -> np.ndarray:
     return _pauli_tables(check("n", n, int, 1))[0]
 
 
-def _components(pattern: np.ndarray) -> list:
-    """Weakly connected components of a square boolean pattern: one ``(count, k)``
-    index array per component size ``k``, ascending; a row is one component.
-
-    A sparse pattern skips scipy's masked-array validation of a dense one."""
-    # imported here, not at module level: only schedule holds pay its import
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-    labels = connected_components(csr_array(pattern), directed=True, connection="weak")[1]
-    size = np.bincount(labels)[labels]
-    order = np.lexsort((labels, size))   # by block size, then block; indices ascending
-    return [order[size[order] == k].reshape(-1, k) for k in np.unique(size)]
-
-
 def _operators(terms, dim: int) -> np.ndarray:
     """The operators of controls or noises as one (count, N, N) stack."""
     return np.array([as_matrix(t.operator) for t in terms], dtype=complex).reshape(-1, dim, dim)
@@ -178,8 +163,9 @@ def _real(x: np.ndarray, what: str) -> np.ndarray:
     return x.real
 
 
-def _generator_stack(system) -> np.ndarray:
-    """The real Pauli-basis generators of a system, checked, as one read-only stack.
+def _generator_stack(system, rows=None) -> np.ndarray:
+    """Rows ``rows`` (ascending; all by default) of a system's real Pauli-basis
+    generators, checked, as one read-only stack.
 
     Rows: drift ``i H_hat(H_0)`` plus every background ``rate Gamma_hat(V)``,
     then ``i H_hat(H_j)`` per control, then ``Gamma_hat(V_l)`` per
@@ -192,10 +178,12 @@ def _generator_stack(system) -> np.ndarray:
     basis, xor, phase, comm, anti = _pauli_tables(system.n)
     size = len(basis)
     cols = np.arange(size)
+    re, im = np.ascontiguousarray(basis.real), np.ascontiguousarray(basis.imag)
 
-    def coefficients(ops):
+    def coefficients(ops):    # real products: a complex one of a few rows can stall on a BLAS thread
         vecs = ops.swapaxes(-1, -2).reshape(len(ops), size)
-        return vecs @ basis.conj() / np.sqrt(system.dim)
+        a, b = np.ascontiguousarray(vecs.real), np.ascontiguousarray(vecs.imag)
+        return (a @ re + b @ im + 1j * (b @ re - a @ im)) / np.sqrt(system.dim)
 
     def dissipator(v):
         c = coefficients(v[None])[0]
@@ -207,13 +195,15 @@ def _generator_stack(system) -> np.ndarray:
         return _real(out[None], "dissipator")[0]
 
     hams = np.concatenate([as_matrix(system.h0)[None], _operators(system.controls, system.dim)])
-    stack = np.empty((len(hams) + len(system.noises), size, size))
-    np.multiply(_real(coefficients(hams), "Hamiltonian")[:, xor], comm, out=stack[:len(hams)])
-    for op, rate in system.background_noises:
+    rows = np.arange(len(hams) + len(system.noises)) if rows is None else np.asarray(rows, int)
+    h = rows[rows < len(hams)]
+    stack = np.empty((len(rows), size, size))
+    np.multiply(_real(coefficients(hams[h]), "Hamiltonian")[:, xor], comm, out=stack[:len(h)])
+    for op, rate in system.background_noises if 0 in h else ():
         if rate > 0:
             stack[0] += rate * dissipator(as_matrix(op))
-    for k, noise in enumerate(system.noises):
-        stack[len(hams) + k] = dissipator(as_matrix(noise.operator))
+    for k, row in enumerate(rows[len(h):], len(h)):
+        stack[k] = dissipator(as_matrix(system.noises[row - len(hams)].operator))
 
     _require_rounding(np.abs(stack[:, 0]).max(axis=-1),
                       _ROUNDING * np.abs(stack).max(axis=(1, 2)),
@@ -268,40 +258,23 @@ def assemble_liouvillian(system, u, gamma) -> np.ndarray:
     ``u`` are unbounded real coherent amplitudes, one per control; ``gamma``
     must lie in [0, gamma_max] for each switchable noise channel.
     Background (non-switchable) noise terms of the system are always added.
-    The amplitudes are contracted as a vector over the stack's rows whose
-    amplitude is nonzero: one matrix-vector product, small enough that
-    OpenBLAS keeps it on the calling thread.
+    Only the stack rows of nonzero amplitude are built or reused
+    (``ControlSystem.generator_rows``) and contracted as a vector: one
+    matrix-vector product, small enough to stay on the calling thread.
     """
     u, gamma = _amplitudes(system, np.asarray(u, dtype=float)[None],
                            np.asarray(gamma, dtype=float)[None])
-    stack = system.pauli_generators
     amps = np.concatenate([[1.0], u[0], gamma[0]])
     used = np.flatnonzero(amps)
-    size = stack.shape[-1]
-    return (amps[used] @ stack[used].reshape(len(used), -1)).reshape(size, size)
+    stack = system.generator_rows(used)
+    return (amps[used] @ stack.reshape(len(used), -1)).reshape(stack.shape[1:])
 
 
 def propagator(ell: np.ndarray, dt: float) -> np.ndarray:
-    """Slice propagator X = exp(-dt L), valid for non-normal L, in L's basis.
-
-    The exponential of a matrix that is block diagonal up to a permutation
-    is block diagonal in the same blocks, so ``-dt L`` is exponentiated one
-    connected component of its nonzero pattern at a time: one
-    ``_expm.expm`` call per block size, scattered into a zero matrix.  A
-    schedule hold (diagonal drift plus noise on one qubit) splits this way
-    into blocks of dimension at most 8; a connected pattern is one block,
-    whose exponential is ``_expm.expm(-dt L)`` bit for bit.  Anything but a
-    nonempty square matrix goes to ``_expm.expm``, which raises.
-    """
+    """Slice propagator X = exp(-dt L), valid for non-normal L, in L's basis: one
+    ``_expm.expm`` call, which raises on anything but a nonempty square matrix."""
     check("dt", dt, rule="nonnegative")
-    a = -dt * np.asarray(ell)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
-        return _expm.expm(a)
-    out = np.zeros(a.shape, dtype=float if np.isrealobj(a) else complex)
-    for idx in _components(a != 0):
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        out[rows, cols] = _expm.expm(a[rows, cols])
-    return out
+    return _expm.expm(-dt * np.asarray(ell))
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,8 @@ class ControlSystem:
     """Drift + labelled controls + switchable and background noise.
 
     The operators are taken as fixed once the system is built: the real
-    Pauli-basis generator stack is computed from them on first use and
-    kept.
+    Pauli-basis generator stack, or each row a schedule hold reads, is
+    computed from them on first use and kept.
     """
 
     n: int
@@ -98,6 +98,16 @@ class ControlSystem:
         noise (see :mod:`noisectrl.lindblad` for the basis).
         """
         return _generator_stack(self)
+
+    def generator_rows(self, rows) -> np.ndarray:
+        """Rows ``rows`` (ascending) of :attr:`pauli_generators` as one stack: taken
+        from it once it is built, else each row built on first use and kept."""
+        if "pauli_generators" in self.__dict__:
+            return self.pauli_generators[rows]
+        kept = self.__dict__.setdefault("_generator_rows", {})
+        missing = [row for row in rows if row not in kept]
+        kept.update(zip(missing, _generator_stack(self, missing) if missing else ()))
+        return np.array([kept[row] for row in rows])
 
     @property
     def gamma_bounds(self) -> np.ndarray:

@@ -153,6 +153,13 @@ def sorted_spectrum(rho) -> np.ndarray:
     return np.linalg.eigvalsh(m)[::-1].copy()
 
 
+def _herm(stack: np.ndarray) -> np.ndarray:
+    """max |a_ij - conj(a_ji)| per matrix of a stack (k, N, N), over the upper triangle and
+    diagonal: a lower term is its mirror's bit for bit, NaN and inf included."""
+    i, j = np.triu_indices(stack.shape[-1])
+    return np.abs(stack[:, i, j] - stack[:, j, i].conj()).max(axis=-1)
+
+
 def _health_spectra(states, where: str, first: int = 0, carried=None, before=None) -> np.ndarray:
     """Descending spectra of one propagated state (N, N) or a stack (k, N, N), or a
     NumericalHealthError naming (``where`` and stack index) the first non-finite state or
@@ -170,7 +177,7 @@ def _health_spectra(states, where: str, first: int = 0, carried=None, before=Non
     m = np.asarray(states)
     stack = m.reshape((-1,) + m.shape[-2:])
     own = np.ones(len(stack), bool) if carried is None else ~np.asarray(carried)
-    herm = np.abs(stack - stack.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+    herm = _herm(stack)
     dev = np.abs(np.trace(stack, axis1=-2, axis2=-1).real - 1.0)
     evals = np.empty(stack.shape[:-1])
     evals[0] = np.nan if before is None else before[::-1]

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lindblad import _components, assemble_liouvillian, pauli_basis, propagator
+from . import _expm
+from .exceptions import check
+from .lindblad import assemble_liouvillian, pauli_basis
 from .qops import _density, _health_spectra
 
 __all__ = ["UnitarySegment", "HoldSegment", "Schedule", "propagate_schedule"]
@@ -64,21 +66,35 @@ class Schedule:
         return len(self.segments)
 
 
-def _hold_blocks(x: np.ndarray, n: int) -> list:
-    """A real Pauli-basis hold propagator ``x`` as flip-sector blocks of ``B x B^dag``.
+def _components(pattern: np.ndarray) -> list:
+    """Weakly connected components of a square boolean pattern: one ``(count, k)``
+    index array per component size ``k``, ascending; a row is one component.
+    A sparse pattern skips scipy's masked-array validation of a dense one."""
+    # imported here, not at module level: only schedule holds pay its import
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+    labels = connected_components(csr_array(pattern), directed=True, connection="weak")[1]
+    size = np.bincount(labels)[labels]
+    order = np.lexsort((labels, size))   # by block size, then block; indices ascending
+    return [order[size[order] == k].reshape(-1, k) for k in np.unique(size)]
+
+
+def _hold_blocks(system, holds) -> list:
+    """Each hold's ``B exp(-dt L) B^dag`` as flip-sector blocks, all built together.
 
     Entry ``(i, j)`` of a state lies in flip sector ``i ^ j``, and column
     ``a`` of ``B = pauli_basis(n)`` only in the sector whose bit for qubit
     q is set where the string digit ``a_q`` is x or y (1 or 2), so
-    ``B x B^dag`` couples two sectors only where ``x`` does.  Returns one
-    ``(index, m)`` pair per size of the groups of sectors that ``x``
-    couples: ``index`` (groups, k 2^n) holds the row-major flat indices of
-    each group's state entries and ``m`` the matching blocks of
-    ``B x B^dag``.  A hold of diagonal drift and noise gives 2^n one-sector
-    groups; one that couples every sector is the whole dense change.
-    """
-    basis = pauli_basis(n)
-    dim = 2 ** n
+    ``exp(-dt L)`` couples two sectors only where the real generator ``L``
+    does.  Each hold's one ``assemble_liouvillian`` call gives its pattern
+    of coupled sectors and its blocks ``L[P_G, P_G]`` on the strings of each
+    group G of them; holds of one pattern share its groups, and one
+    ``_expm.expm`` call per block size serves every hold.  Returns per hold
+    one ``(index, m)`` pair per group size: ``index`` (groups, k 2^n) holds
+    the row-major flat indices of each group's state entries and ``m`` the
+    blocks ``B_G X_GG B_G^dag`` (2^n one-sector groups for diagonal drift
+    and noise, one for a hold that couples every sector)."""
+    n, dim = system.n, system.dim
     cells = np.arange(dim * dim)
     sector = (cells // dim) ^ (cells % dim)       # of a row-major or a vec index alike
     digits = cells[:, None] // 4 ** np.arange(n - 1, -1, -1) % 4
@@ -86,16 +102,27 @@ def _hold_blocks(x: np.ndarray, n: int) -> list:
     entries = np.argsort(sector, kind="stable").reshape(dim, dim)
     order = np.argsort(of_string, kind="stable")
     strings = order.reshape(dim, dim)
-    rows = (x != 0)[order].reshape(dim, dim, -1).any(axis=1)    # (sector, string)
-    coupled = rows[:, order].reshape(dim, dim, dim).any(axis=2)
-    blocks = []
-    for group in _components(coupled):
-        index = entries[group].reshape(len(group), -1)
-        paulis = strings[group].reshape(len(group), -1)
+    groups, parts = {}, []      # parts: (hold, index, strings, -dt L[P_G, P_G]) per group size
+    for h, seg in enumerate(holds):
+        ell = assemble_liouvillian(system, seg.u, seg.gamma)
+        dt = check("dt", seg.duration, rule="nonnegative")
+        rows = (ell != 0)[order].reshape(dim, dim, -1).any(axis=1)    # (sector, string)
+        coupled = rows[:, order].reshape(dim, dim, dim).any(axis=2)
+        if (key := coupled.tobytes()) not in groups:
+            groups[key] = [(entries[g].reshape(len(g), -1), strings[g].reshape(len(g), -1))
+                           for g in _components(coupled)]
+        parts += [(h, index, paulis, -dt * ell[paulis[:, :, None], paulis[:, None, :]])
+                  for index, paulis in groups[key]]
+    blocks = [[] for _ in holds]
+    for size in sorted({part[1].shape[1] for part in parts}):
+        same = [part for part in parts if part[1].shape[1] == size]
+        index, paulis = (np.concatenate([part[k] for part in same]) for k in (1, 2))
         vecs = index % dim * dim + index // dim     # vec index of each entry
-        b = basis[vecs[:, :, None], paulis[:, None, :]]
-        m = b @ x[paulis[:, :, None], paulis[:, None, :]] @ b.conj().swapaxes(-1, -2)
-        blocks.append((index, m))
+        b = pauli_basis(n)[vecs[:, :, None], paulis[:, None, :]]
+        m = b @ _expm.expm(np.concatenate([part[3] for part in same])) @ b.conj().swapaxes(-1, -2)
+        at = np.cumsum([0] + [len(part[1]) for part in same])
+        for (h, own, _, _), lo, hi in zip(same, at, at[1:]):
+            blocks[h].append((own, m[lo:hi]))
     return blocks
 
 
@@ -118,10 +145,10 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
     segment object.  A hold acts on the state's entries gathered into flip
     sectors, one batched matrix-vector product per block size of its
     :func:`_hold_blocks`.  Holds are memoized on (amplitudes, duration),
-    which collapses the cost of the long repetitive decoupling trains; each
-    is built on first use by ``lindblad.propagator`` (one exponential per
-    sparsity block of the real Pauli-basis generator) and taken to sector
-    blocks of the column-stacked basis once, when it enters the memo.
+    which collapses the cost of the long repetitive decoupling trains; the
+    distinct holds are built before the first segment is applied, in one
+    :func:`_hold_blocks` call, so a bad hold amplitude is reported before
+    the segments ahead of it run.
     ``rho0`` must be a valid DensityOperator of the system's dimension.  The
     final state, or with ``record`` every state, passes
     ``qops._health_spectra``, which names the first bad boundary; recorded
@@ -136,7 +163,10 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
     if len(rho) != system.dim:
         raise ValueError(f"rho0 dimension {len(rho)} does not match "
                          f"the system dimension {system.dim}")
-    holds: dict = {}
+    keys = [(seg.u.tobytes(), seg.gamma.tobytes(), seg.duration)
+            if isinstance(seg, HoldSegment) else None for seg in schedule.segments]
+    first = {key: seg for key, seg in zip(keys, schedule.segments) if key is not None}
+    holds = dict(zip(first, _hold_blocks(system, list(first.values()))))
     unitaries: dict = {}
     times = [0.0]
     spectra = []
@@ -158,13 +188,8 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
                 rho = rho * phases
             t += seg.charged_duration
         else:
-            key = (seg.u.tobytes(), seg.gamma.tobytes(), seg.duration)
-            blocks = holds.get(key)
-            if blocks is None:
-                ell = assemble_liouvillian(system, seg.u, seg.gamma)
-                blocks = holds[key] = _hold_blocks(propagator(ell, seg.duration), system.n)
             flat, out = rho.ravel(), np.empty(rho.size, dtype=complex)
-            for index, m in blocks:
+            for index, m in holds[keys[i - 1]]:
                 out[index] = (m @ flat[index][..., None])[..., 0]
             rho = out.reshape(rho.shape)
             t += seg.duration

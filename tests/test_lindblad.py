@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from noisectrl import _expm, lindblad, reach
+from noisectrl import _expm, lindblad, models, reach
 from noisectrl.exceptions import NumericalHealthError
 from noisectrl.lindblad import (BathParams, assemble_liouvillian, commutator_superop,
                                 diag_channel_theta, dissipator_superop,
@@ -11,7 +11,7 @@ from noisectrl.lindblad import (BathParams, assemble_liouvillian, commutator_sup
                                 theta_channel_exact, theta_generator,
                                 trotter_decoupled_propagator, v_theta)
 from noisectrl.lindblad import liouvillians
-from noisectrl.models import ControlSystem, ising_chain, thermal_state, zero_state
+from noisectrl.models import ControlSystem, ion_trap_model, ising_chain, thermal_state, zero_state
 from noisectrl.optim import ControlSequence, TransferProblem, error
 from noisectrl.qops import (IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             embed_local, random_density, unvec, vec)
@@ -240,6 +240,37 @@ class TestPauliStack:
         b = pauli_basis(n)
         np.testing.assert_allclose(b @ stack @ b.conj().T, superoperator_terms(system),
                                    rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("make", [
+        *(lambda n=n, kind=kind, deph=deph: ising_chain(n, coupling=1.3, noise_kind=kind,
+                                                       dephasing=deph)
+          for n in (1, 2, 3, 4) for kind in ("amp", "bitflip", 0.3) for deph in (None, 0.2)),
+        lambda: ion_trap_model(),
+    ])
+    def test_rows_built_on_demand_match_the_full_stack(self, make):
+        full = make().pauli_generators
+        last = len(full) - 1
+        for rows in ([0], [last], [0, last], list(range(1, last + 1))):
+            got = make().generator_rows(np.array(rows))
+            for row, k in zip(got, rows):
+                assert np.abs(row - full[k]).max() <= 1e-15 * np.abs(full[k]).max()
+
+    def test_holds_build_only_the_rows_they_read(self, monkeypatch):
+        built = []
+        exact = models._generator_stack
+        monkeypatch.setattr(models, "_generator_stack",
+                            lambda system, rows=None: built.append(rows) or exact(system, rows))
+        system = ising_chain(4, noise_kind="bitflip", dephasing=0.1)
+        u = np.zeros(8)
+        ell = assemble_liouvillian(system, u, np.zeros(1))            # drift only
+        assemble_liouvillian(system, u, np.array([2.0]))              # drift kept, noise built
+        u[3] = 0.5
+        assemble_liouvillian(system, u, np.array([2.0]))
+        assert [list(rows) for rows in built] == [[0], [9], [4]]
+        np.testing.assert_array_equal(system.generator_rows(np.array([0])), [ell])
+        np.testing.assert_array_equal(system.pauli_generators[[0, 4, 9]],
+                                      system.generator_rows(np.array([0, 4, 9])))
+        assert built[-1] is None and len(built) == 4
 
     def test_stack_is_built_once_and_read_only(self):
         system = ising_chain(2, dephasing=0.1)
@@ -496,46 +527,20 @@ class TestPropagator:
         ell, linked, block = ell[np.ix_(perm, perm)], linked[np.ix_(perm, perm)], block[perm]
         dt = 10.0 ** log_norm / np.abs(ell).sum(axis=0).max()
 
+        # one exponential of the whole generator, which keeps its block pattern
         x = propagator(ell, dt)
         assert x.dtype == ell.dtype
+        np.testing.assert_array_equal(x, _expm.expm(-dt * ell))
         assert np.all(x[block[:, None] != block] == 0)
         ref = scipy.linalg.expm(-dt * ell)
         assert np.abs(x - ref).max() <= 2e-14 * max(1.0, np.abs(ref).max())
         np.testing.assert_array_equal(propagator(linked, dt), _expm.expm(-dt * linked))
-        # dt = 0 leaves no nonzero entry: every index is its own 1 x 1 block
         still = propagator(ell, 0.0)
         assert np.all(still[~np.eye(len(ell), dtype=bool)] == 0)
         np.testing.assert_allclose(np.diag(still), 1.0, rtol=0, atol=1e-15)
         ell[tuple(rng.integers(len(ell), size=2))] = np.nan
         with pytest.raises(NumericalHealthError):
             propagator(ell, dt)
-
-    def test_hold_is_exponentiated_one_block_size_per_call(self, monkeypatch):
-        # a 4-qubit bit-flip hold: 108 blocks, 32 of dimension 1, 48 of 2, 24 of 4, 4 of 8
-        system = ising_chain(4, noise_kind="bitflip", gamma_star=5.0)
-        ell = assemble_liouvillian(system, np.zeros(8), np.array([5.0]))
-        shapes = []
-        exact = _expm.expm
-        monkeypatch.setattr(_expm, "expm", lambda a: shapes.append(a.shape) or exact(a))
-        propagator(ell, 0.37)
-        assert shapes == [(32, 1, 1), (48, 2, 2), (24, 4, 4), (4, 8, 8)]
-
-    def test_hold_matches_a_40_digit_reference(self):
-        # a 4-qubit bit-flip hold splits into 108 blocks of dimension 1 to 8; the
-        # reference exponentiates each block at 40 digits
-        mpmath = pytest.importorskip("mpmath")
-        from scipy.sparse.csgraph import connected_components
-        system = ising_chain(4, noise_kind="bitflip", gamma_star=5.0)
-        ell = assemble_liouvillian(system, np.zeros(8), np.array([5.0]))
-        a = -0.37 * ell
-        count, label = connected_components(a != 0, directed=True, connection="weak")
-        assert count == 108
-        ref = np.zeros(a.shape)
-        with mpmath.workdps(40):
-            for c in range(count):
-                idx = np.ix_(label == c, label == c)
-                ref[idx] = np.array(mpmath.expm(mpmath.matrix(a[idx].tolist())).tolist(), dtype=float)
-        assert np.abs(propagator(ell, 0.37) - ref).max() <= 1e-15
 
     @pytest.mark.parametrize("theta, gamma_t", [(2.0, 1.0), (-0.1, 1.0), (0.3, -1.0),
                                                 (np.nan, 1.0), (0.3, np.nan)])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from noisectrl.qops import (DensityOperator, SIGMA_MINUS, SIGMA_X, SIGMA_Z,
+from noisectrl.qops import (DensityOperator, SIGMA_MINUS, SIGMA_X, SIGMA_Z, _herm,
                             embed_local, frobenius_error, random_density,
                             sorted_spectrum, unvec, vec)
 
@@ -171,3 +172,23 @@ class TestDensityOperatorValidation:
         m[1, 0] = 1e-13j
         rho = DensityOperator(m)
         np.testing.assert_allclose(rho.matrix, rho.matrix.conj().T)
+
+
+class TestHermiticityError:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2, 3, 4, 16]),
+           count=st.integers(1, 4), scale=st.sampled_from([0.0, 1e-13, 1.0]),
+           bad=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 15), st.integers(0, 15),
+                                  st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans()),
+                        max_size=4))
+    def test_upper_triangle_equals_the_full_difference_bit_for_bit(self, seed, dim, count,
+                                                                   scale, bad):
+        # non-finite values land on and off the diagonal, in the real or imaginary part
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((2, count, dim, dim)) + 1j * rng.standard_normal((2, count, dim, dim))
+        stack = g[0] + g[0].conj().swapaxes(-1, -2) + scale * g[1]
+        for k, i, j, value, imaginary in bad:
+            stack[k % count, i % dim, j % dim] = complex(0.0, value) if imaginary else value
+        with np.errstate(invalid="ignore"):     # inf - inf
+            full = np.abs(stack - stack.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+            np.testing.assert_array_equal(_herm(stack), full)

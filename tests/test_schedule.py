@@ -22,8 +22,9 @@ def random_unitary(rng, dim):
 
 def random_schedule(rng, system, holds):
     """A dense unitary, then holds that alternate between zero and random
-    controls, each followed by one shared diagonal kick or a dense unitary:
-    both forms of both segment kinds."""
+    controls, each followed by one shared diagonal kick or a dense unitary,
+    then equal copies of the zero-control holds: both forms of both segment
+    kinds, and repeated holds of both sector patterns."""
     kick = UnitarySegment(np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, system.dim))),
                           label="kick")
     segments = [UnitarySegment(random_unitary(rng, system.dim), label="u")]
@@ -35,6 +36,9 @@ def random_schedule(rng, system, holds):
             duration=float(rng.uniform(0.05, 0.4)), label="hold"))
         segments.append(UnitarySegment(random_unitary(rng, system.dim),
                                        charged_duration=0.25, label="u") if coherent else kick)
+    for seg in segments[1:2 * holds:4]:
+        segments += [HoldSegment(u=seg.u.copy(), gamma=seg.gamma.copy(),
+                                 duration=seg.duration, label="hold"), kick]
     return Schedule(segments=tuple(segments))
 
 
@@ -57,7 +61,7 @@ def superoperator_reference(system, schedule, rho0):
 class TestPropagateSchedule:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]),
-           noise=st.sampled_from(["amp", "bitflip"]), holds=st.integers(1, 3))
+           noise=st.sampled_from(["amp", "bitflip"]), holds=st.integers(1, 4))
     def test_matches_superoperator_reference(self, seed, n, noise, holds):
         rng = np.random.default_rng(seed)
         system = ising_chain(n, noise_kind=noise, gamma_star=5.0)
@@ -122,7 +126,8 @@ class TestSectorHolds:
         x = propagator(assemble_liouvillian(system, u, np.array([3.0])), 0.3)
         b = pauli_basis(n)
         dense = b @ x @ b.conj().T            # on vec(rho), the column-stacked state
-        blocks = schedule_module._hold_blocks(x, n)
+        hold = HoldSegment(u=u, gamma=np.array([3.0]), duration=0.3)
+        [blocks] = schedule_module._hold_blocks(system, [hold])
         dim = 2 ** n
         assert [(len(index), index.shape[1] // dim) for index, _ in blocks] == [groups(n)]
         op = np.zeros_like(dense)             # on rho.ravel(), the row-major state
@@ -133,6 +138,53 @@ class TestSectorHolds:
         v = np.arange(dim * dim)
         row_major = v % dim * dim + v // dim
         assert np.abs(op[np.ix_(row_major, row_major)] - dense).max() <= 1e-15 * np.abs(dense).max()
+
+    def test_hold_matches_a_40_digit_reference(self):
+        # a 4-qubit bit-flip hold: its generator splits into 108 blocks of dimension 1
+        # to 8, which the reference exponentiates at 40 digits; the hold exponentiates
+        # its 16 one-sector blocks of dimension 16
+        mpmath = pytest.importorskip("mpmath")
+        from scipy.sparse.csgraph import connected_components
+        system = ising_chain(4, noise_kind="bitflip", gamma_star=5.0)
+        ell = assemble_liouvillian(system, np.zeros(8), np.array([5.0]))
+        a = -0.37 * ell
+        count, label = connected_components(a != 0, directed=True, connection="weak")
+        assert count == 108
+        ref = np.zeros(a.shape)
+        with mpmath.workdps(40):
+            for c in range(count):
+                idx = np.ix_(label == c, label == c)
+                ref[idx] = np.array(mpmath.expm(mpmath.matrix(a[idx].tolist())).tolist(), dtype=float)
+        b = pauli_basis(4)
+        v = np.arange(256)
+        row_major = v % 16 * 16 + v // 16
+        dense = (b @ ref @ b.conj().T)[np.ix_(row_major, row_major)]    # on rho.ravel()
+        hold = HoldSegment(u=np.zeros(8), gamma=np.array([5.0]), duration=0.37)
+        [[(index, m)]] = schedule_module._hold_blocks(system, [hold])
+        assert m.shape == (16, 16, 16)
+        assert np.abs(dense[index[:, :, None], index[:, None, :]] - m).max() <= 1e-15
+
+    def test_distinct_holds_share_one_exponential(self, monkeypatch):
+        # three distinct zero-control holds, some repeated, share one sector pattern:
+        # one generator per distinct hold and one exponential of their 3 x 16 blocks
+        system = ising_chain(4, noise_kind="bitflip", gamma_star=5.0)
+        shapes, generators = [], []
+        exact, assemble = _expm.expm, schedule_module.assemble_liouvillian
+        monkeypatch.setattr(_expm, "expm", lambda a: shapes.append(a.shape) or exact(a))
+        monkeypatch.setattr(schedule_module, "assemble_liouvillian",
+                            lambda *args: generators.append(args) or assemble(*args))
+        a, b, c = (HoldSegment(u=np.zeros(8), gamma=np.array([g]), duration=t)
+                   for g, t in ((5.0, 0.3), (2.0, 0.3), (5.0, 0.1)))
+        copy = HoldSegment(u=np.zeros(8), gamma=np.array([5.0]), duration=0.3)
+        flip = UnitarySegment(np.eye(16)[::-1])
+        schedule = Schedule(segments=(a, b, flip, a, c, copy, flip, b, c))
+        rho0 = random_density(4, 3).matrix
+        rho = propagate_schedule(system, schedule, rho0)
+        assert shapes == [(48, 16, 16)]
+        assert len(generators) == 3
+        monkeypatch.setattr(_expm, "expm", exact)
+        expected, _ = superoperator_reference(system, schedule, rho0)
+        np.testing.assert_allclose(rho, expected, rtol=0, atol=1e-12)
 
     def test_diagonal_unitaries_act_as_phases_and_others_densely(self, monkeypatch):
         calls = []
