@@ -18,6 +18,8 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import sys
@@ -411,7 +413,26 @@ _RUNNERS = {
 }
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed heap memory, once per process; a no-op where the C
+    library has no ``mallopt``.  By default glibc returns each freed
+    multi-megabyte temporary (a GRAPE evaluation's slice stacks) to the system,
+    and the next evaluation faults its pages in again."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 1 << 30)     # M_TRIM_THRESHOLD: keep up to 1 GiB free at the heap top
+    mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD: heap blocks below 32 MiB; stops glibc sliding it
+
+
 def main(argv=None) -> int:
+    """Run one subcommand; returns its exit code.  Sets glibc's allocator
+    thresholds first (:func:`_keep_freed_memory`).  Only ``optimize`` loads
+    scipy, when :func:`noisectrl.optim.optimize` runs."""
+    _keep_freed_memory()
     parser = argparse.ArgumentParser(
         prog="noisectrl",
         description="Open-system control experiments with switchable noise.")

@@ -137,9 +137,10 @@ def ising_chain(n: int, coupling: float = 1.0, noise_kind="amp",
     ``noise_kind`` is a name in :data:`NOISE_THETA` (``"amp"``, ``"bitflip"``)
     or a float theta in [0, 1]; either selects V_theta.  The noisy site
     defaults to the last qubit.  ``dephasing`` adds a constant sigma_z/2
-    background channel on every qubit at the given rate.
+    background channel on every qubit at the given rate.  ``n`` is at most
+    6: the dense Pauli generator stack takes about 34 GB at n = 7.
     """
-    check("n", n, int, 1)
+    check("n", n, int, (1, 6))
     check("coupling", coupling)
     noisy_site = n if noisy_site is None else check("noisy_site", noisy_site, int, (1, n))
     check("gamma_star", gamma_star, rule="positive")

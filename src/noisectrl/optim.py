@@ -29,7 +29,9 @@ direction.  :func:`optimize` keeps the forward states of its best point, so
 its trajectory needs no second propagation.  The L_k are
 non-normal, so no eigendecomposition is used.  Box constraints (noise
 amplitudes in [0, gamma_max], coherent amplitudes free) are handled by a
-projected limited-memory quasi-Newton iteration (scipy's L-BFGS-B).
+projected limited-memory quasi-Newton iteration (scipy's L-BFGS-B);
+:func:`optimize` imports ``scipy.optimize`` when it is called, so the other
+CLI modes load no scipy module.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from . import _expm
 from .exceptions import NumericalHealthError, check
@@ -233,6 +234,9 @@ def optimize(problem: TransferProblem, init: ControlSequence,
     seen.  Its trajectory is built from the forward states that the
     objective kept at that point, so no slice is exponentiated again.
     """
+    # imported here, not at module level: only optimize jobs pay its import
+    import scipy.optimize
+
     _check_sequence(problem, init)
     _amplitudes(problem.system, init.u, init.gamma)    # L-BFGS-B would clip them silently
     check("max_iters", max_iters, int, 1)

@@ -69,11 +69,14 @@ class Schedule:
 def _components(pattern: np.ndarray) -> list:
     """Weakly connected components of a square boolean pattern: one ``(count, k)``
     index array per component size ``k``, ascending; a row is one component.
-    A sparse pattern skips scipy's masked-array validation of a dense one."""
-    # imported here, not at module level: only schedule holds pay its import
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-    labels = connected_components(csr_array(pattern), directed=True, connection="weak")[1]
+    Squaring the symmetric reachability matrix ``pattern | pattern.T | 1`` until
+    it stops changing closes every path in about log2(k) products; each
+    component is labelled by its smallest index, so rows run in the order of
+    their first index, and indices ascend within a row."""
+    reach = pattern | pattern.T | np.eye(len(pattern), dtype=bool)
+    while not np.array_equal(step := reach @ reach, reach):    # boolean: or of ands
+        reach = step
+    labels = reach.argmax(axis=1)       # the first index each index reaches
     size = np.bincount(labels)[labels]
     order = np.lexsort((labels, size))   # by block size, then block; indices ascending
     return [order[size[order] == k].reshape(-1, k) for k in np.unique(size)]
@@ -145,8 +148,9 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
     segment object.  A hold acts on the state's entries gathered into flip
     sectors, one batched matrix-vector product per block size of its
     :func:`_hold_blocks`.  Holds are memoized on (amplitudes, duration),
-    which collapses the cost of the long repetitive decoupling trains; the
-    distinct holds are built before the first segment is applied, in one
+    which collapses the cost of the long repetitive decoupling trains; that
+    key is built once per distinct segment object, and the holds of the
+    distinct keys are built before the first segment is applied, in one
     :func:`_hold_blocks` call, so a bad hold amplitude is reported before
     the segments ahead of it run.
     ``rho0`` must be a valid DensityOperator of the system's dimension.  The
@@ -163,10 +167,12 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
     if len(rho) != system.dim:
         raise ValueError(f"rho0 dimension {len(rho)} does not match "
                          f"the system dimension {system.dim}")
-    keys = [(seg.u.tobytes(), seg.gamma.tobytes(), seg.duration)
-            if isinstance(seg, HoldSegment) else None for seg in schedule.segments]
-    first = {key: seg for key, seg in zip(keys, schedule.segments) if key is not None}
-    holds = dict(zip(first, _hold_blocks(system, list(first.values()))))
+    segments = {id(seg): seg for seg in schedule.segments if isinstance(seg, HoldSegment)}
+    keys = {i: (seg.u.tobytes(), seg.gamma.tobytes(), seg.duration)
+            for i, seg in segments.items()}
+    first = {key: segments[i] for i, key in keys.items()}
+    built = dict(zip(first, _hold_blocks(system, list(first.values()))))
+    holds = {i: built[key] for i, key in keys.items()}
     unitaries: dict = {}
     times = [0.0]
     spectra = []
@@ -189,7 +195,7 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
             t += seg.charged_duration
         else:
             flat, out = rho.ravel(), np.empty(rho.size, dtype=complex)
-            for index, m in holds[keys[i - 1]]:
+            for index, m in holds[id(seg)]:
                 out[index] = (m @ flat[index][..., None])[..., 0]
             rho = out.reshape(rho.shape)
             t += seg.duration

@@ -3,6 +3,10 @@ import copy
 import io
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -338,6 +342,15 @@ class TestDiagnostics:
         assert diags[0].startswith("system:")
         assert len(diags) == 2 and diags[1].startswith("target:")
 
+    def test_chain_beyond_six_qubits_is_refused_at_load(self, tmp_path, capsys):
+        # refused before any operator is built: the generator stack of 7 qubits is ~34 GB
+        path = write_config(tmp_path, {"mode": "controllability", "system": {
+            "model": "ising_chain", "n": 7, "noise": "amp", "gamma_star": 5.0}})
+        assert main(["controllability", "--config", str(path), "--out",
+                     str(tmp_path / "x")]) == 2
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert lines == ["config error: system: n must be in [1, 6]"]
+
 
 # ---------------------------------------------------------------------------
 # malformed configs: exit 2 with diagnostics under the faulty section
@@ -575,3 +588,70 @@ def test_readme_example_validates_for_every_mode():
     # it carries every section, so it must serve every mode
     for mode in MODES:
         assert validate(dict(example, mode=mode), mode) == [], mode
+
+
+# ---------------------------------------------------------------------------
+# what a CLI process loads and faults in, each in a fresh interpreter
+
+def run_python(code, *args):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+LOADED_SCIPY = """
+import json, sys, tempfile
+from pathlib import Path
+from noisectrl import cli
+loaded = []
+with tempfile.TemporaryDirectory() as tmp:
+    for command, cfg in json.loads(sys.argv[1]):
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli.main([command, "--config", str(path), "--out", str(Path(tmp) / command)])
+        loaded.append([command, rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_optimize_loads_scipy():
+    jobs = [["validate", TINY["hlp"]]] + [[mode, TINY[mode]] for mode in MODES
+                                          if mode != "optimize"]
+    loaded = run_python(LOADED_SCIPY, json.dumps(jobs + [["optimize", TINY["optimize"]]]))
+    assert [rc for _, rc, _ in loaded] == [0] * len(loaded)
+    assert {command: modules for command, _, modules in loaded[:-1]} == {
+        command: [] for command, _ in jobs}
+    assert "scipy.optimize" in loaded[-1][2]
+
+
+EVALUATION_FAULTS = """
+import json, resource, sys, tempfile
+from pathlib import Path
+from noisectrl import cli, models, optim
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "config.json"
+    path.write_text(sys.argv[1])
+    assert cli.main(["validate", "--config", str(path)]) == 0
+system = models.ion_trap_model()
+problem = optim.TransferProblem(system, models.thermal_state(4), models.ghz_state(4), 1.0, 8)
+seq = optim.random_sequence(problem, 3)
+faults = []
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    optim._error_and_gradient(problem, seq.u, seq.gamma)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_evaluations_after_main_reuse_their_memory():
+    # an M = 8 ion-trap evaluation frees (8, 256, 256) stacks of 4 MB; with glibc's
+    # dynamic thresholds each later evaluation faults about 5,400 to 6,500 pages back in
+    faults = run_python(EVALUATION_FAULTS, json.dumps(TINY["majorize"]))
+    assert max(faults[1:]) < 100, faults

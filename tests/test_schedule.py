@@ -207,6 +207,26 @@ class TestSectorHolds:
         np.testing.assert_allclose(rho, expected, rtol=0, atol=1e-14)
 
 
+class TestComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.integers(1, 64), kind=st.sampled_from(["random", "empty", "full"]),
+           density=st.floats(0.0, 0.12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_components_match_scipy(self, size, kind, density, seed):
+        from scipy.sparse.csgraph import connected_components
+        pattern = {"random": np.random.default_rng(seed).random((size, size)) < density,
+                   "empty": np.zeros((size, size), bool),
+                   "full": np.ones((size, size), bool)}[kind]
+        count, label = connected_components(pattern, directed=True, connection="weak")
+        found = sorted((np.flatnonzero(label == c) for c in range(count)),
+                       key=lambda c: (len(c), c[0]))
+        expected = [np.array([c for c in found if len(c) == k])
+                    for k in sorted({len(c) for c in found})]
+        got = schedule_module._components(pattern)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
+
+
 class TestRecordedStatesInStacks:
     """Recorded states are checked in stacks of at most ``_CHECK_BYTES``: 256
     four-qubit states, fewer than a four-qubit HLP schedule records."""
