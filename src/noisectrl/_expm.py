@@ -1,5 +1,5 @@
-"""Dense matrix exponential and its Frechet derivative, via Pade-13 scaling
-and squaring.
+"""Dense matrix exponential and its Frechet derivative, via a degree-25
+Taylor polynomial with scaling and squaring.
 
 Works on single matrices or stacks of shape (..., n, n), real or complex;
 float64 input stays float64, anything else runs in complex128.  Every
@@ -10,77 +10,71 @@ here are non-normal Liouvillians, so spectral decomposition is
 deliberately not used.
 
 :func:`expm` is the package's only matrix exponential and Frechet
-derivative, looked up as ``_expm.expm`` at call time.  Asked for the
-derivative, it keeps the stack's Pade state (the scaling exponents, the
-scaled powers x, x^2, x^4, x^6, the Pade denominator, R_0 and the squaring
-ladder) and returns, beside exp(a), a function that evaluates L(a, u v^T)
-along rank-one directions from that state, so a derivative costs no second
-exponential.  It follows Al-Mohy & Higham (SIAM J. Matrix Anal. Appl. 30,
-1639 (2009), Alg. 6.4) with a rank-one direction: with p = sum b_j x^j and
-q = sum (-1)^j b_j x^j the Pade-13 numerator and denominator at the scaled
-x, their derivatives along y = u v^T are K_u H_p K_v^T and K_u H_q K_v^T,
-where K_u = [u, x u, ..., x^12 u] and K_v = [v, x^T v, ..., (x^T)^12 v] are
-13 Krylov vectors built from the kept powers and H_p[i, l] = b_(i+l+1),
-H_q[i, l] = (-1)^(i+l+1) b_(i+l+1) are constant Hankel tables.  The Pade
-stage is then a solve with 13 right-hand sides, and its rank-13 result
-runs up the squaring ladder L <- R L + L R as thin factors, doubling their
-width per step, until a dense L costs less.
-Non-finite, singular or overflowing cases raise
-:class:`NumericalHealthError` (CLI exit 3); non-square or mismatched input
-``ValueError``.
+derivative, looked up as ``_expm.expm`` at call time.  The scaled x = a /
+2^s, with ||x||_1 <= theta_25, goes into T_25(x) = sum_{j <= 25} x^j / j!
+by Paterson-Stockmeyer with q = 5: the powers x, ..., x^5 in one stack (4
+products), each block sum_j c_(5i+j) x^j as one contraction of a row of
+the coefficient table against that stack plus its constant on the
+diagonal, and 4 Horner steps in x^5; no denominator, so no solve.
+theta_25 is the largest 1-norm at which the backward error of T_25,
+log(e^-x T_25(x)), stays below 2^-53 relative (Al-Mohy & Higham, SIAM J.
+Sci. Comput. 33, 488 (2011), Sec. 3).  Asked for the derivative, it keeps
+the scaling exponents, the scaled powers and the squaring ladder, and
+returns, beside exp(a), a function that evaluates L(a, u v^T) along
+rank-one directions from that state, so a derivative costs no second
+exponential.  Along y = u v^T the derivative of T_25 is K_u H K_v^T
+(Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639 (2009), with a
+rank-one direction), where K_u = [u, x u, ..., x^24 u] and K_v = [v, x^T v,
+..., (x^T)^24 v] are 25 Krylov vectors built from the kept powers and
+H[i, l] = 1/(i+l+1)! for i + l + 1 <= 25 is a constant Hankel table.  That
+rank-25 result runs up the squaring ladder L <- R L + L R as thin factors,
+doubling their width per step, until a dense L costs less.
+Non-finite or overflowing cases raise :class:`NumericalHealthError` (CLI
+exit 3); non-square or mismatched input ``ValueError``.
 """
 
 from __future__ import annotations
+
+from math import factorial
 
 import numpy as np
 
 from .exceptions import NumericalHealthError
 
-# Pade-13 numerator coefficients (Higham, "Functions of Matrices", Table 10.4)
-_B13 = np.array([
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0,
-])
-_THETA13 = 5.371920351148152
-# Hankel tables of the Pade sums' derivatives along a rank-one direction:
-# H_p[i, l] = b_(i+l+1) for the numerator, H_q[i, l] = (-1)^(i+l+1) b_(i+l+1)
-# for the denominator, zero past degree 13
-_DEG = np.add.outer(np.arange(13), np.arange(13)) + 1
-_HP = np.where(_DEG <= 13, _B13[np.minimum(_DEG, 13)], 0.0)
-_HQ = (-1.0) ** _DEG * _HP
+_DEGREE, _Q = 25, 5
+# largest 1-norm at which T_25's relative backward error is at most 2^-53
+_THETA25 = 2.4285825244428264
+# Taylor coefficients c_j = 1/j!.  T_25 = B_0 + x^5 (B_1 + x^5 (B_2 + x^5 (B_3
+# + x^5 B_4))) with B_i = c_(5i) I + sum_(j=1..5) _ROWS[i, j - 1] x^j: row i
+# holds c_(5i+1), ..., c_(5i+4), and the top row also c_25 against x^5
+_C = np.array([1.0 / factorial(j) for j in range(_DEGREE + 1)])
+_ROWS = _C[1:].reshape(_Q, _Q).copy()
+_ROWS[:-1, -1] = 0.0
+# Hankel table of T_25's derivative along a rank-one direction,
+# H[i, l] = c_(i+l+1), zero past degree 25
+_DEG = np.add.outer(np.arange(_DEGREE), np.arange(_DEGREE)) + 1
+_H = np.where(_DEG <= _DEGREE, _C[np.minimum(_DEG, _DEGREE)], 0.0)
 
 
-def _inner(p2, p4, p6, j):
-    """b_j p6 + b_(j-2) p4 + b_(j-4) p2: w1 (j = 13) and z1 (j = 12) of the
-    Pade sums."""
-    out = _B13[j] * p6
-    out += _B13[j - 2] * p4
-    out += _B13[j - 4] * p2
-    return out
-
-
-def _pade13(x, keep):
-    """Denominator V - U and numerator V + U of the degree-13 Pade approximant
-    at x and, with ``keep``, the powers (x, x^2, x^4, x^6) its derivative
-    reads; without it the powers go out of scope on return, before the solve."""
-    b = _B13
-    ident = np.broadcast_to(np.eye(x.shape[-1], dtype=x.dtype), x.shape)
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x4 @ x2
-    w = x6 @ _inner(x2, x4, x6, 13) + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident
-    v = x6 @ _inner(x2, x4, x6, 12) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
-    u = x @ w
-    return v - u, v + u, ((x, x2, x4, x6) if keep else None)
-
-
-def _solve(den, rhs):
-    try:
-        return np.linalg.solve(den, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalHealthError(f"Pade denominator is singular: {exc}") from exc
+def _taylor(a, scale, keep):
+    """T_25(x) at x = a / scale for a (k, n, n) stack and, with ``keep``, the
+    powers x, ..., x^5 as one (k, 5, n, n) stack; without it they go out of
+    scope on return, before the squarings.  Beside the powers, two buffers:
+    each Horner step writes x^5 r to one and the next block to the other."""
+    k, n = a.shape[:2]
+    pw = np.empty((k, _Q, n, n), dtype=a.dtype)
+    x = np.divide(a, scale, out=pw[:, 0])
+    for j in range(1, _Q):
+        np.matmul(pw[:, j - 1], x, out=pw[:, j])
+    flat, x5 = pw.reshape(k, _Q, n * n), pw[:, -1]
+    r, t = np.matmul(_ROWS[-1], flat), np.empty((k, n * n), dtype=x.dtype)
+    r[:, ::n + 1] += _C[_DEGREE - _Q]
+    for i in range(_Q - 2, -1, -1):
+        np.matmul(x5, r.reshape(k, n, n), out=t.reshape(k, n, n))
+        t += np.matmul(_ROWS[i], flat, out=r)
+        t[:, ::n + 1] += _C[_Q * i]
+        r, t = t, r
+    return r.reshape(k, n, n), (pw if keep else None)
 
 
 def _todo(s, step):
@@ -88,24 +82,20 @@ def _todo(s, step):
     return slice(None) if step < s.min() else s > step
 
 
-def _pade(a, keep):
-    """exp(a) for a (k, n, n) stack and, with ``keep``, its Pade state.
+def _exp(a, keep):
+    """exp(a) for a (k, n, n) stack and, with ``keep``, its Taylor state.
 
     Each matrix is scaled by 2^-s from its own 1-norm and squared s times; a
     step whose members do not all square works on them alone.  The state
-    keeps R_0 whole and, per step, the R_i that were squared.
+    keeps, per step, the R_i that were squared.
     """
     norm1 = np.abs(a).sum(axis=-2).max(axis=-1)
     s = np.zeros(len(a), dtype=int)
-    big = norm1 > _THETA13
-    s[big] = np.ceil(np.log2(norm1[big] / _THETA13))
+    big = norm1 > _THETA25
+    s[big] = np.ceil(np.log2(norm1[big] / _THETA25))
     scale = (2.0 ** s)[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        den, num, powers = _pade13(a / scale, keep)
-        r = _solve(den, num)
-        r0 = r if keep else None
-        if keep and s.size and s.min() == 0 < s.max():
-            r = r.copy()       # step 0 squares in place, and R_0 must stay whole
+        r, powers = _taylor(a, scale, keep)
         ladder = []
         for step in range(s.max(initial=0)):
             todo = _todo(s, step)
@@ -118,34 +108,36 @@ def _pade(a, keep):
                 r[todo] = rt @ rt
     if not np.all(np.isfinite(r)):
         raise NumericalHealthError("matrix exponential overflowed")
-    return r, ((s, scale, powers, den, r0, ladder) if keep else None)
+    return r, ((s, scale, powers, ladder) if keep else None)
 
 
 def _krylov(powers, v):
-    """[v, x v, ..., x^12 v] as the columns of a (k, n, 13) stack, from v of
-    shape (k, n, 1) and the kept powers x, x^2, x^4, x^6: four thin products."""
-    x, x2, x4, x6 = powers
-    kv = np.concatenate([v, x @ v], axis=-1)
-    kv = np.concatenate([kv, x2 @ kv], axis=-1)
-    kv = np.concatenate([kv, x4 @ kv], axis=-1)
-    return np.concatenate([kv, x6 @ kv[..., 2:7]], axis=-1)
+    """[v, x v, ..., x^24 v] as the columns of a (k, n, 25) stack, from v of
+    shape (k, n, 1) and the kept powers x, ..., x^5: one product with the
+    first four powers, then four with x^5."""
+    k, n = v.shape[:2]
+    kv = np.empty((k, n, _DEGREE), dtype=np.result_type(powers, v))
+    kv[..., :1] = v
+    kv[..., 1:_Q] = np.swapaxes((powers[:, :-1] @ v[:, None])[..., 0], -1, -2)
+    for j in range(_Q, _DEGREE, _Q):
+        kv[..., j:j + _Q] = powers[:, -1] @ kv[..., j - _Q:j]
+    return kv
 
 
 def _frechet(state, u, v):
-    """L(a, u v^T) for a stack from its Pade state, with u and v of shape (k, n).
+    """L(a, u v^T) for a stack from its Taylor state, with u and v of shape (k, n).
 
-    At the scaled x, L_0 = P W^T with P = q^-1 K_u, a solve with 13
-    right-hand sides, and W^T = H_p K_v^T - H_q K_v^T R_0.  Each squaring
-    R <- R R carries L <- R L + L R, on the thin factors as P <- [R P, P],
-    W^T <- [W^T; W^T R] (zero columns R P for members not squaring) while
-    the doubled width is at most n, then on the dense L = P W^T.
+    At the scaled x, L_0 = P W^T with P = K_u and W^T = H K_v^T.  Each
+    squaring R <- R R carries L <- R L + L R, on the thin factors as
+    P <- [R P, P], W^T <- [W^T; W^T R] (zero columns R P for members not
+    squaring) while the doubled width is at most n, then on the dense
+    L = P W^T.
     """
-    s, scale, powers, den, r0, ladder = state
+    s, scale, powers, ladder = state
     with np.errstate(over="ignore", invalid="ignore"):
-        ku = _krylov(powers, u[..., None] / scale)
-        kvt = np.swapaxes(_krylov([np.swapaxes(p, -1, -2) for p in powers], v[..., None]),
-                          -1, -2)
-        p, wt, l = _solve(den, ku), _HP @ kvt - _HQ @ (kvt @ r0), None
+        p = _krylov(powers, u[..., None] / scale)
+        wt = _H @ np.swapaxes(_krylov(np.swapaxes(powers, -1, -2), v[..., None]), -1, -2)
+        l = None
         for step, rt in enumerate(ladder):
             todo = _todo(s, step)
             if 2 * p.shape[-1] <= p.shape[-2]:
@@ -170,7 +162,7 @@ def expm(a: np.ndarray, derivative: bool = False):
     is L(a, u v^T) for stacks u, v of shape (..., n), the Frechet derivative
     of the exponential at a along the rank-one direction u v^T (the
     first-order term of exp(a + t u v^T) - exp(a) in t), evaluated from the
-    Pade state that exp(a) left behind.
+    Taylor state that exp(a) left behind.
     """
     a = np.asarray(a)
     a = a.astype(float if np.isrealobj(a) else complex, copy=False)
@@ -180,7 +172,7 @@ def expm(a: np.ndarray, derivative: bool = False):
     if not np.all(np.isfinite(a)):
         raise NumericalHealthError("non-finite entries in exponent")
     n = shape[-1]
-    r, state = _pade(a.reshape(-1, n, n), derivative)
+    r, state = _exp(a.reshape(-1, n, n), derivative)
     r = r.reshape(shape)
     if not derivative:
         return r

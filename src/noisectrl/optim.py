@@ -19,12 +19,14 @@ the derivative of delta_F^2 along a generator direction D of slice k is
 2 <Q_k, -dt D>, where Q_k = L(A_k^T, b_k f_k^T) = L(A_k, f_k b_k^T)^T is
 the Frechet derivative of the exponential along a rank-one direction.  One
 batched ``_expm.expm(A, derivative=True)`` call gives the forward
-propagators and keeps each slice's Pade-13 state, from which all M
-derivatives follow at the slice size without a second exponential: the
-Pade stage needs only the 13 Krylov vectors x^j f_k and (x^T)^j b_k of the
-scaled exponent x (Al-Mohy & Higham 2009, Alg. 6.4, along f_k b_k^T), and
-the squaring ladder carries the derivative as thin factors while they are
-narrower than half the slice size.  One derivative per slice serves every
+propagators and keeps each slice's Taylor state (the scaled powers x, ...,
+x^5 of its degree-25 polynomial and its squaring ladder), from which all M
+derivatives follow at the slice size without a second exponential and
+without a solve: the polynomial's derivative along f_k b_k^T needs only the
+25 Krylov vectors x^j f_k and (x^T)^j b_k of the scaled exponent x and a
+constant Hankel table (Al-Mohy & Higham 2009, with a rank-one direction),
+and the squaring ladder carries the derivative as thin factors while they
+are narrower than half the slice size.  One derivative per slice serves every
 direction.  :func:`optimize` keeps the forward states of its best point, so
 its trajectory needs no second propagation.  The L_k are
 non-normal, so no eigendecomposition is used.  Box constraints (noise
@@ -194,8 +196,9 @@ def gradient(problem: TransferProblem, seq: ControlSequence) -> np.ndarray:
     Columns are ordered as the system's controls followed by its noise
     channels.  Each slice's propagator derivative is the Frechet derivative
     of the exponential along the rank-one direction f_k b_k^T, read from
-    the Pade state of the same batched ``_expm.expm`` call that gives the
-    forward propagators, so there is no step size and no second exponential.
+    the Taylor state of the same batched ``_expm.expm`` call that gives the
+    forward propagators, so there is no step size, no second exponential
+    and no solve.
     """
     _check_sequence(problem, seq)
     _, grad, _ = _error_and_gradient(problem, seq.u, seq.gamma)

@@ -348,11 +348,11 @@ class TestExpm:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            log_norms=st.lists(st.floats(-3.0, np.log10(2e3)), min_size=1, max_size=10))
-    @example(seed=0, log_norms=[-3.0] + [np.log10(_expm._THETA13 * 2 ** (s - 0.5))
+    @example(seed=0, log_norms=[-3.0] + [np.log10(_expm._THETA25 * 2 ** (s - 0.5))
                                          for s in range(1, 10)])
     def test_frechet_matches_scipy_per_member(self, seed, log_norms):
         # 1-norms from 1e-3 to 2e3 mix scaling exponents 0 to 9 in one stack,
-        # so the derivative's rank, at most 13 2^s after s squarings, passes n = 16
+        # so the derivative's rank, at most 25 2^s after s squarings, passes n = 16
         system = ising_chain(2, dephasing=0.3)
         rng = np.random.default_rng(seed)
         k = len(log_norms)
@@ -365,9 +365,10 @@ class TestExpm:
         assert r.dtype == l.dtype == np.float64
         for j in range(k):
             ref_r, ref_l = scipy.linalg.expm_frechet(a[j], np.outer(u[j], v[j]))
-            # scipy scales to 1-norm 4.74 rather than 5.37; near 1-norm 2e3 the
-            # two then differ by up to 2.8e-13, mostly on scipy's side against
-            # a 40-digit reference, so the bound grows as 4 ||a||_1 u there
+            # scipy scales to 1-norm 4.74 rather than 2.43; near 1-norm 2e3 the
+            # two then differ by up to 2.3e-13, on scipy's side against a
+            # 40-digit reference (the kernel stays within 6e-15 of it on these
+            # stacks), so the bound grows as 4 ||a||_1 u there
             rtol = max(1e-13, 2 * 10.0 ** log_norms[j] * np.finfo(float).eps)
             for got, ref in ((r[j], ref_r), (l[j], ref_l), (r[j], _expm.expm(a[j]))):
                 assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
@@ -375,24 +376,89 @@ class TestExpm:
     @pytest.mark.parametrize("n, exponents", [(2, [0, 1, 2, 3, 4, 5, 6]), (3, [0, 2, 3, 4]),
                                               (4, [0, 1, 3, 5])])
     def test_frechet_ladder_crossover_matches_scipy(self, n, exponents):
-        # the rank-13 derivative climbs the ladder as thin factors while their
-        # doubled width 13 2^(step+1) is at most N^2, then densifies: at step 0
-        # on 16^2, after two steps on 64^2 and after four on 256^2; members
+        # the rank-25 derivative climbs the ladder as thin factors while their
+        # doubled width 25 2^(step+1) is at most N^2, then densifies: at step 0
+        # on 16^2, after one step on 64^2 and after three on 256^2; members
         # that stop squaring earlier ride along as zero columns
         system = ising_chain(n, dephasing=0.3)
         rng = np.random.default_rng(n)
         k = len(exponents)
         ell = liouvillians(system, rng.standard_normal((k, 2 * n)), rng.uniform(0.0, 5.0, (k, 1)))
-        norm1 = _expm._THETA13 * 2.0 ** (np.array(exponents) - 0.5)
+        norm1 = _expm._THETA25 * 2.0 ** (np.array(exponents) - 0.5)
         a = -(norm1 / np.abs(ell).sum(axis=-2).max(axis=-1))[:, None, None] * ell
         u, v = rng.standard_normal((2, k, 4 ** n))
         l = _expm.expm(a, derivative=True)[1](u, v)
-        state = _expm._pade(a, keep=True)[1]
+        state = _expm._exp(a, keep=True)[1]
         assert list(state[0]) == exponents
         for j in range(k):
             ref = scipy.linalg.expm_frechet(a[j], np.outer(u[j], v[j]), compute_expm=False)
             rtol = max(1e-13, 2 * norm1[j] * np.finfo(float).eps)
             assert np.abs(l[j] - ref).max() <= rtol * np.abs(ref).max()
+
+    def test_expm_and_frechet_match_a_40_digit_reference(self):
+        # one-qubit Liouvillians with scaling exponents 0 to 9 in one stack,
+        # each scaled to just under theta25, at the scipy test's rtol; the
+        # derivative's reference is the upper-right block of exp([[a, u v^T],
+        # [0, a]]), so the bound measures the kernel's own error, not that of
+        # scipy's reference near 1-norm 2e3
+        mpmath = pytest.importorskip("mpmath")
+        system = ising_chain(1, dephasing=0.3)
+        rng = np.random.default_rng(21)
+        ell = liouvillians(system, rng.standard_normal((10, 2)), rng.uniform(0.0, 5.0, (10, 1)))
+        norm1 = 0.99 * _expm._THETA25 * 2.0 ** np.arange(10)
+        a = -(norm1 / np.abs(ell).sum(axis=-2).max(axis=-1))[:, None, None] * ell
+        u, v = rng.standard_normal((2, 10, 4))
+        r, frechet = _expm.expm(a, derivative=True)
+        l = frechet(u, v)
+        assert list(_expm._exp(a, keep=True)[1][0]) == list(range(10))
+        for j in range(10):
+            block = np.block([[a[j], np.outer(u[j], v[j])], [np.zeros((4, 4)), a[j]]])
+            with mpmath.workdps(40):
+                ref = np.array(mpmath.expm(mpmath.matrix(block.tolist())).tolist(), dtype=float)
+            rtol = max(1e-13, 2 * norm1[j] * np.finfo(float).eps)
+            for got, want in ((r[j], ref[:4, :4]), (l[j], ref[:4, 4:])):
+                assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+    def test_theta25_is_the_root_of_the_backward_error_series(self):
+        # exp(x) = T_25(x) exp(h(x)) with h(x) = log(e^-x T_25(x)) = sum_(k > 25)
+        # h_k x^k; theta_25 is where the relative backward error bound
+        # sum |h_k| theta^(k-1) reaches 2^-53 (150 terms, 40 digits)
+        mpmath = pytest.importorskip("mpmath")
+        m, terms = 25, 150
+        with mpmath.workdps(40):
+            f = [mpmath.mpf(1)] + [mpmath.mpf(0)] * m + [
+                mpmath.fsum((-1) ** (k - j) / (mpmath.factorial(k - j) * mpmath.factorial(j))
+                            for j in range(m + 1))
+                for k in range(m + 1, terms + 1)]
+            h = [mpmath.mpf(0)] * (terms + 1)
+            for k in range(m + 1, terms + 1):    # h' f = f', with h_k = 0 up to degree m
+                h[k] = f[k] - mpmath.fsum(j * h[j] * f[k - j] for j in range(m + 1, k - m)) / k
+            theta = mpmath.findroot(
+                lambda t: mpmath.fsum(abs(h[k]) * t ** (k - 1) for k in range(m + 1, terms + 1))
+                - mpmath.mpf(2) ** -53, 2.4)
+        assert abs(float(theta) / _expm._THETA25 - 1) <= 1e-7
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_kernel_makes_no_solve(self, monkeypatch, kind):
+        # T_25 has no denominator: exp(a) and L(a, u v^T) factor no matrix, on
+        # members that square (thin and dense ladder steps) and ones that do not
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exponential called a dense solver")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        for n, scales in ((2, [0.1, 5.0, 60.0]), (3, [0.05, 40.0])):
+            system = ising_chain(n, dephasing=0.3)
+            rng = np.random.default_rng(n)
+            k = len(scales)
+            ell = liouvillians(system, rng.standard_normal((k, 2 * n)),
+                               rng.uniform(0.0, 5.0, (k, 1)))
+            a = -np.array(scales)[:, None, None] * ell * (np.exp(0.3j) if kind is complex else 1)
+            u, v = rng.standard_normal((2, k, 4 ** n)).astype(kind)
+            r, frechet = _expm.expm(a, derivative=True)
+            l = frechet(u, v)
+            assert r.dtype == l.dtype == np.dtype(kind)
+            assert np.all(np.isfinite(r)) and np.all(np.isfinite(l))
 
     def test_stack_equals_one_member_at_a_time(self):
         system = ising_chain(2)

@@ -177,15 +177,15 @@ class TestGradient:
 
 def mixed_scale_problem(n=2):
     """An n-qubit problem whose ten slice exponents -dt L_k have scaling
-    exponents 0 to 9, so the Pade squarings of one stack are masked."""
+    exponents 0 to 9, so the squarings of one stack are masked."""
     system = ising_chain(n, gamma_star=5.0, dephasing=0.3)
     problem = TransferProblem(system, random_density(n, 11), random_density(n, 12), 0.1, 10)
     rng = np.random.default_rng(13)
     v = rng.standard_normal((10, 2 * n))
     no_noise = np.zeros((10, 1))
     drive = np.abs(liouvillians(system, v, no_noise) - liouvillians(system, 0 * v, no_noise))
-    # slice k > 0 has 1-norm near theta13 2^(k - 1/2), slice 0 is the drift alone
-    amplitude = _expm._THETA13 * 2.0 ** (np.arange(10) - 0.5) / (
+    # slice k > 0 has 1-norm near theta25 2^(k - 1/2), slice 0 is the drift alone
+    amplitude = _expm._THETA25 * 2.0 ** (np.arange(10) - 0.5) / (
         problem.dt * drive.sum(axis=-2).max(axis=-1))
     amplitude[0] = 0.0
     seq = ControlSequence(dt=problem.dt, u=amplitude[:, None] * v,
@@ -197,7 +197,7 @@ def mixed_scale_problem(n=2):
 
 def scaling_exponents(a):
     norm1 = np.abs(a).sum(axis=-2).max(axis=-1)
-    return np.ceil(np.log2(np.maximum(norm1 / _expm._THETA13, 1.0)))
+    return np.ceil(np.log2(np.maximum(norm1 / _expm._THETA25, 1.0)))
 
 
 def assert_gradient_matches_scipy_frechet(problem, seq, a):
@@ -241,7 +241,7 @@ class TestSharedPadeState:
         assert_gradient_matches_scipy_frechet(*mixed_scale_problem())
 
     def test_gradient_matches_scipy_frechet_per_slice_on_three_qubits(self):
-        # N^2 = 64 against 13 Krylov vectors a side
+        # N^2 = 64 against 25 Krylov vectors a side
         assert_gradient_matches_scipy_frechet(*mixed_scale_problem(3))
 
     def test_gradient_matches_scipy_frechet_per_slice_on_the_ion_trap(self):
