@@ -5,7 +5,7 @@ Library layout:
 * :mod:`noisectrl.qops`       operator algebra, vectorization, spectra, density operators
 * :mod:`noisectrl.lindblad`   the Pauli basis, the one generator builder, propagators, closed-form channels
 * :mod:`noisectrl.models`     Ising chains, the ion-trap system, named states
-* :mod:`noisectrl.reach`      majorisation, switch times, HLP scheduling, Lie closure
+* :mod:`noisectrl.reach`      majorisation, switch times, HLP scheduling with its drift decoupling, Lie closure
 * :mod:`noisectrl.schedule`   segmented schedules (ideal unitaries + holds)
 * :mod:`noisectrl.optim`      sequence propagation, gradients, optimization
 * :mod:`noisectrl.protocols`  closed-form initialisation/erasure protocols
@@ -17,10 +17,9 @@ from .exceptions import (ConfigurationError, NoiseCtrlError,
 from .qops import (IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y,
                    SIGMA_Z, DensityOperator, embed_local, frobenius_error,
                    random_density, sorted_spectrum, unvec, vec)
-from .lindblad import (BathParams, assemble_liouvillian, commutator_superop,
-                       diag_channel_theta, dissipator_superop, heat_bath_generator,
-                       liouvillians, pauli_basis, propagator, theta_channel_exact,
-                       theta_generator, trotter_decoupled_propagator, v_theta)
+from .lindblad import (BathParams, assemble_liouvillian, diag_channel_theta,
+                       heat_bath_generator, liouvillians, pauli_basis, propagator,
+                       theta_channel_exact, theta_generator, v_theta)
 from .models import (ControlSystem, ghz_state, ion_trap_model, ising_chain,
                      thermal_state, zero_state)
 from .reach import (HlpPlan, HlpStep, beta_of_theta, fixed_point_theta,

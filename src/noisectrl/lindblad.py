@@ -8,20 +8,20 @@ Sign conventions, fixed once and pinned by the tests:
   so that ``d rho/dt = gamma (V rho V^dag - {V^dag V, rho}/2) - i [H, rho]``.
 * propagator of a slice ``X = exp(-dt L)``.
 
-Two bases are in use.  :func:`commutator_superop`, :func:`dissipator_superop`
-and the closed-form single-qubit channels act on the column-stacked
-``vec(rho)`` of :mod:`noisectrl.qops`.  A system's generators live in the
-Pauli basis: the orthonormal basis ``{P_a / sqrt(N)}`` of the ``N^2 = 4^n``
-Pauli strings ``P_a = p_{a_1} kron ... kron p_{a_n}`` with
-``p = (1, sigma_x, sigma_y, sigma_z)`` and string index
-``a = sum_q a_q 4^(n-q)`` (qubit 1 most significant, as for computational
-states).  :func:`pauli_basis` is the unitary ``B`` whose column ``a`` is
-``vec(P_a) / sqrt(N)``: a state has the real coordinates
-``r = B^dag vec(rho)``, ``r_a = tr(P_a rho) / sqrt(N)``, and a
-superoperator ``S`` becomes ``B^dag S B``.  A Lindblad generator maps
-Hermitian matrices to Hermitian matrices, so there it is a real matrix;
-trace preservation reads "row 0 is zero", and since ``B`` is unitary every
-Frobenius distance is unchanged.
+A system's generators live in the Pauli basis: the orthonormal basis
+``{P_a / sqrt(N)}`` of the ``N^2 = 4^n`` Pauli strings
+``P_a = p_{a_1} kron ... kron p_{a_n}`` with ``p = (1, sigma_x, sigma_y,
+sigma_z)`` and string index ``a = sum_q a_q 4^(n-q)`` (qubit 1 most
+significant, as for computational states).  :func:`pauli_basis` is the
+unitary ``B`` whose column ``a`` is ``vec(P_a) / sqrt(N)``, with ``vec``
+the column stacking of :mod:`noisectrl.qops`: a state has the real
+coordinates ``r = B^dag vec(rho)``, ``r_a = tr(P_a rho) / sqrt(N)``, and a
+generator ``L`` there acts on ``vec(rho)`` as ``B L B^dag``.  A Lindblad
+generator maps Hermitian matrices to Hermitian matrices, so there it is a
+real matrix; trace preservation reads "row 0 is zero", and since ``B`` is
+unitary every Frobenius distance is unchanged.  Every generator comes from
+:func:`_pauli_generators`; the closed-form single-qubit channels and
+:func:`theta_generator` act on ``vec(rho)``.
 
 Each system's real generator stack ``(1 + C + L, N^2, N^2)`` (drift plus
 background noise, then ``i H_hat`` of each control, then ``Gamma_hat`` of
@@ -53,12 +53,11 @@ from .exceptions import NumericalHealthError, check
 from .qops import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix
 
 __all__ = [
-    "commutator_superop", "dissipator_superop", "pauli_basis",
+    "pauli_basis",
     "liouvillians", "assemble_liouvillian",
     "propagator",
     "v_theta", "theta_generator", "theta_channel_exact", "diag_channel_theta",
     "BathParams", "heat_bath_generator",
-    "trotter_decoupled_propagator",
 ]
 
 _PAULIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -66,39 +65,6 @@ _PAULIS = np.array([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 # relative size of the imaginary part and of row 0 of a Pauli-basis
 # generator that still counts as rounding
 _ROUNDING = 1e-12
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of the last two axes, broadcast over the rest."""
-    n, m = a.shape[-1], b.shape[-1]
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (n * m, n * m))
-
-
-def commutator_superop(h) -> np.ndarray:
-    """Superoperator H_hat with H_hat vec(rho) = vec(H rho - rho H).
-
-    Under column stacking this is ``1 kron H - H^T kron 1``.  A stack
-    (..., N, N) of operators gives the stack (..., N^2, N^2).
-    """
-    m = as_matrix(h)
-    ident = np.eye(m.shape[-1])
-    return _kron(ident, m) - _kron(m.swapaxes(-1, -2), ident)
-
-
-def dissipator_superop(v) -> np.ndarray:
-    """Unit-amplitude noise superoperator Gamma_hat for a Lindblad operator V.
-
-    Gamma_hat vec(rho) = -vec(V rho V^dag - (V^dag V rho + rho V^dag V)/2),
-    i.e. the dissipative part of the master equation enters as
-    ``d vec(rho)/dt = -gamma Gamma_hat vec(rho)``.  Stacks (..., N, N) map
-    to stacks (..., N^2, N^2) as in :func:`commutator_superop`.
-    """
-    m = as_matrix(v)
-    ident = np.eye(m.shape[-1])
-    vdv = m.conj().swapaxes(-1, -2) @ m
-    d_hat = _kron(m.conj(), m) - 0.5 * (_kron(ident, vdv) + _kron(vdv.swapaxes(-1, -2), ident))
-    return -d_hat
 
 
 @lru_cache(maxsize=None)
@@ -118,7 +84,7 @@ def _pauli_tables(n: int):
     strings, phase = np.ones((1, 1, 1), dtype=complex), np.ones((1, 1), dtype=complex)
     for _ in range(n):
         dim = 2 * strings.shape[-1]
-        strings = _kron(strings[:, None], _PAULIS).reshape(-1, dim, dim)
+        strings = np.kron(strings[:, None], _PAULIS[None]).reshape(-1, dim, dim)
         phase = np.kron(phase, w1)
     basis = np.ascontiguousarray(strings.transpose(0, 2, 1).reshape(dim * dim, -1).T) / np.sqrt(dim)
     cols = np.arange(dim * dim)
@@ -163,19 +129,18 @@ def _real(x: np.ndarray, what: str) -> np.ndarray:
     return x.real
 
 
-def _generator_stack(system, rows=None) -> np.ndarray:
-    """Rows ``rows`` (ascending; all by default) of a system's real Pauli-basis
-    generators, checked, as one read-only stack.
+def _pauli_generators(n: int, hams, noises) -> np.ndarray:
+    """Real Pauli-basis generators on n qubits, checked, as one stack: ``i H_hat(H)``
+    of each Hamiltonian in ``hams`` (count, N, N), then ``Gamma_hat(V)`` of each
+    operator V in ``noises``.
 
-    Rows: drift ``i H_hat(H_0)`` plus every background ``rate Gamma_hat(V)``,
-    then ``i H_hat(H_j)`` per control, then ``Gamma_hat(V_l)`` per
-    switchable noise.  Each comes straight from Pauli products (see
-    :func:`_pauli_tables`): a commutator is a gather of the Hamiltonian's
-    coefficients, and ``V P_b V^dag`` runs over the pairs of V's nonzero
-    coefficients.  Raises :class:`NumericalHealthError` if an imaginary part
-    or row 0 (trace preservation) of a generator exceeds rounding.
+    Each comes straight from Pauli products (see :func:`_pauli_tables`): a
+    commutator is a gather of the Hamiltonian's coefficients, and ``V P_b
+    V^dag`` runs over the pairs of V's nonzero coefficients.  Raises
+    :class:`NumericalHealthError` if an imaginary part or row 0 (trace
+    preservation) of a generator exceeds rounding; row 0 is then set to zero.
     """
-    basis, xor, phase, comm, anti = _pauli_tables(system.n)
+    basis, xor, phase, comm, anti = _pauli_tables(n)
     size = len(basis)
     cols = np.arange(size)
     re, im = np.ascontiguousarray(basis.real), np.ascontiguousarray(basis.imag)
@@ -183,7 +148,7 @@ def _generator_stack(system, rows=None) -> np.ndarray:
     def coefficients(ops):    # real products: a complex one of a few rows can stall on a BLAS thread
         vecs = ops.swapaxes(-1, -2).reshape(len(ops), size)
         a, b = np.ascontiguousarray(vecs.real), np.ascontiguousarray(vecs.imag)
-        return (a @ re + b @ im + 1j * (b @ re - a @ im)) / np.sqrt(system.dim)
+        return (a @ re + b @ im + 1j * (b @ re - a @ im)) / np.sqrt(2 ** n)
 
     def dissipator(v):
         c = coefficients(v[None])[0]
@@ -194,21 +159,35 @@ def _generator_stack(system, rows=None) -> np.ndarray:
             out[k ^ b_l, cols] -= (c[k] * c[ls].conj()) * phase[cols, ls] * phase[k, b_l]
         return _real(out[None], "dissipator")[0]
 
-    hams = np.concatenate([as_matrix(system.h0)[None], _operators(system.controls, system.dim)])
-    rows = np.arange(len(hams) + len(system.noises)) if rows is None else np.asarray(rows, int)
-    h = rows[rows < len(hams)]
-    stack = np.empty((len(rows), size, size))
-    np.multiply(_real(coefficients(hams[h]), "Hamiltonian")[:, xor], comm, out=stack[:len(h)])
-    for op, rate in system.background_noises if 0 in h else ():
-        if rate > 0:
-            stack[0] += rate * dissipator(as_matrix(op))
-    for k, row in enumerate(rows[len(h):], len(h)):
-        stack[k] = dissipator(as_matrix(system.noises[row - len(hams)].operator))
-
+    stack = np.empty((len(hams) + len(noises), size, size))
+    np.multiply(_real(coefficients(hams), "Hamiltonian")[:, xor], comm, out=stack[:len(hams)])
+    for k, v in enumerate(noises, len(hams)):
+        stack[k] = dissipator(v)
     _require_rounding(np.abs(stack[:, 0]).max(axis=-1),
                       _ROUNDING * np.abs(stack).max(axis=(1, 2)),
                       "row 0 (trace preservation) of generator")
     stack[:, 0] = 0.0
+    return stack
+
+
+def _generator_stack(system, rows=None) -> np.ndarray:
+    """Rows ``rows`` (ascending; all by default) of a system's real Pauli-basis
+    generators from :func:`_pauli_generators`, as one read-only stack.
+
+    Rows: drift ``i H_hat(H_0)`` plus every background ``rate Gamma_hat(V)``,
+    then ``i H_hat(H_j)`` per control, then ``Gamma_hat(V_l)`` per
+    switchable noise.
+    """
+    hams = np.concatenate([as_matrix(system.h0)[None], _operators(system.controls, system.dim)])
+    rows = np.arange(len(hams) + len(system.noises)) if rows is None else np.asarray(rows, int)
+    h = rows[rows < len(hams)]
+    noises = [as_matrix(system.noises[row - len(hams)].operator) for row in rows[len(h):]]
+    stack = _pauli_generators(system.n, hams[h], noises)
+    if 0 in h:
+        background = [(as_matrix(op), rate) for op, rate in system.background_noises if rate > 0]
+        gens = _pauli_generators(system.n, hams[:0], [op for op, _ in background])
+        for (_, rate), gen in zip(background, gens):
+            stack[0] += rate * gen
     stack.setflags(write=False)
     return stack
 
@@ -289,8 +268,10 @@ def v_theta(theta: float) -> np.ndarray:
 
 
 def theta_generator(theta: float) -> np.ndarray:
-    """4x4 noise superoperator of V_theta at unit amplitude."""
-    return dissipator_superop(v_theta(theta))
+    """4x4 noise superoperator of V_theta at unit amplitude on ``vec(rho)``:
+    ``B D B^dag`` of its real Pauli-basis generator D at n = 1."""
+    b = pauli_basis(1)
+    return b @ _pauli_generators(1, np.empty((0, 2, 2)), [v_theta(theta)])[0] @ b.conj().T
 
 
 def theta_channel_exact(theta: float, gamma_t: float) -> np.ndarray:
@@ -377,27 +358,3 @@ def heat_bath_generator(params: BathParams) -> np.ndarray:
     sign = 1.0 if params.statistics == "bosonic" else -1.0
     return params.gamma * ((1.0 + sign * n_occ) * theta_generator(0.0)
                            + n_occ * theta_generator(1.0))
-
-
-# ---------------------------------------------------------------------------
-# Trotter decoupling of a diagonal drift from terminal bit-flip noise
-
-def trotter_decoupled_propagator(h02, gamma: float, t: float, k: int) -> np.ndarray:
-    """k-cycle alternating-sign product approximating exp(-t gamma Gamma_hat).
-
-    ``h02`` is the diagonal operator on the first n-1 qubits whose coupling
-    ``h02 kron sigma_z`` to the noisy terminal qubit is to be removed; the
-    sign-inverted factor is what ideal pi_x pulses on that qubit produce.
-    Converges to the bare bit-flip propagator as k grows, at first order
-    (the error halves when k doubles).
-    """
-    check("t", t, rule="nonnegative")   # a non-finite gamma fails in the exponential
-    check("k", k, int, 1)
-    m = as_matrix(h02)
-    n_rest = m.shape[0]
-    coupling = np.kron(m, np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
-    gam = gamma * dissipator_superop(np.kron(np.eye(n_rest), v_theta(0.5)))
-    h_hat = commutator_superop(coupling)
-    h = t / (2 * k)
-    halves = _expm.expm(np.array([-h * (gam + 1j * h_hat), -h * (gam - 1j * h_hat)]))
-    return np.linalg.matrix_power(halves[0] @ halves[1], k)

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 _SUM_ATOL = 1e-10
-_CLOSURE_TOL = 1e-10
+_CLOSURE_TOL = 1e-8
 # closure elements taken at a time; see lie_closure_dimension
 _CLOSURE_BLOCK = 8
 
@@ -381,7 +381,7 @@ def _terminal_noise(system, theta: float = 0.5):
     flip, theta = 1/2, unless given), or None when the system has none."""
     expected = embed_local(v_theta(theta), system.n, system.n)
     for idx, noise in enumerate(system.noises):
-        if np.allclose(as_matrix(noise.operator), expected, atol=1e-12):
+        if np.allclose(as_matrix(noise.operator), expected, rtol=0, atol=1e-12):
             return idx
     return None
 
@@ -498,9 +498,10 @@ def lie_closure_dimension(generators) -> int:
     closed under every ad_g, built as a block Krylov space.  An element iH
     is held as N^2 real coordinates of H, its diagonal and sqrt2 Re,
     sqrt2 Im of its upper triangle, whose dot product is the Hilbert-Schmidt
-    inner product for any N.  The generators' traceless parts, divided by
-    the largest entry among them so that the dimension does not depend on
-    the Hamiltonians' units, are orthonormalized first.  The basis is then
+    inner product for any N.  Each generator's traceless part is scaled to
+    unit norm, so that the dimension depends on no generator's units, or
+    dropped where its norm is at most ``_CLOSURE_TOL`` of the generator's;
+    these are orthonormalized first.  The basis is then
     walked in the order it was found, ``_CLOSURE_BLOCK`` elements at a
     time: for a block B and each orthonormalized generator g the stacked
     bracket g @ B - B @ g has the current basis projected out of it twice
@@ -534,7 +535,6 @@ def lie_closure_dimension(generators) -> int:
             raise ValueError("generators must be finite")
         if np.abs(m - m.conj().T).max() > 1e-10 * np.abs(m).max():
             raise ValueError("generators must be Hermitian")
-    scale = max(np.abs(m).max() for m in mats) or 1.0
 
     diag, (iu, ju) = np.arange(dim), np.triu_indices(dim, 1)
     n_up = len(iu)
@@ -565,8 +565,11 @@ def lie_closure_dimension(generators) -> int:
             basis[size:size + len(new)] = new
             size += len(new)
 
-    h = np.stack(mats) / scale
+    h = np.stack(mats)
     x = coordinates(h - np.trace(h, axis1=1, axis2=2)[:, None, None] / dim * np.eye(dim))
+    norms = np.linalg.norm(x, axis=1)
+    keep = norms > _CLOSURE_TOL * np.linalg.norm(coordinates(h), axis=1)
+    x = x[keep] / norms[keep, None]
     for lo in range(0, len(x), _CLOSURE_BLOCK):
         extend(x[lo:lo + _CLOSURE_BLOCK])
     gens, start = hermitian(basis[:size]), 0

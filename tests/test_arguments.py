@@ -8,10 +8,8 @@ zero temperature of ``beta_of_theta(0, ...)``).  Nothing else may come out:
 no TypeError, ZeroDivisionError or OverflowError, and, since the suite turns
 RuntimeWarnings into errors, no divide-by-zero or invalid-value warning.
 
-Left out on purpose: ``trotter_decoupled_propagator``'s ``gamma``, whose
-non-finite values are the exponential's ``NumericalHealthError``
-(``test_non_finite_exponent_is_a_numerical_failure``), and
-``ising_chain``'s ``noise_kind``, whose theta is ``v_theta``'s row.
+Left out on purpose: ``ising_chain``'s ``noise_kind``, whose theta is
+``v_theta``'s row.
 
 Array arguments have three tables: non-finite arrays and noise amplitudes,
 invalid states (each raises the ValueError of ``DensityOperator``, the one
@@ -64,8 +62,6 @@ TABLE = [
      {"theta": "0", "gamma_t": "0 2.5", "n": ""}),
     (_bath, dict(beta=1.0, omega0=1.0, gamma=1.0),
      {"beta": "inf 2.5", "omega0": "2.5", "gamma": "2.5"}),
-    (lindblad.trotter_decoupled_propagator, dict(h02=np.diag([1.0, -1.0]), gamma=1.0, t=1.0, k=2),
-     {"t": "0 2.5", "k": ""}),
     (reach.majorises, dict(x=[0.6, 0.4], y=[0.7, 0.3], tol=1e-10), {"tol": "0 2.5"}),
     (reach.t_transform, dict(v=[0.7, 0.3], pair=(0, 1), lam=0.3), {"lam": "0"}),
     (reach.switch_time_amp, dict(rho_ii=0.7, rho_jj=0.3, gamma_star=5.0, tau=1.0),

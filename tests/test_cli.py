@@ -434,6 +434,8 @@ MALFORMED = [
      "execute needs bitflip noise on the last qubit, system has 'amp2'"),
     ("simulate", "sequence", None, {"u": [[0.0] * 4] * 4, "gamma": [[math.nan]] + [[1.0]] * 3},
      "gamma[0, 0] = nan for 'bitflip2' is not a finite number"),
+    ("hlp", "hlp", "system.noise", {"theta": 0.500004},
+     "execute needs bitflip noise on the last qubit, system has 'theta2'"),
 ]
 
 
@@ -487,6 +489,19 @@ class TestProtocolNoise:
         assert validate(cfg, "protocol") == [
             "protocol: 'erase_bitflip' needs bitflip noise on the last qubit, "
             "system has 'amp3'"]
+
+    @pytest.mark.parametrize("kind, noise, code", [
+        ("erase_bitflip", {"theta": 0.500004}, 2),
+        ("erase_bitflip", "bitflip", 0),
+        ("erase_amp", "amp", 0),
+    ])
+    def test_protocol_noise_must_be_its_own_exactly(self, tmp_path, kind, noise, code):
+        # 4e-6 from bit flip is within numpy's default relative tolerance
+        cfg = base_protocol_config()
+        cfg["system"]["noise"] = noise
+        cfg["protocol"] = {"kind": kind, "noise_time": 1.0}
+        path = write_config(tmp_path, cfg)
+        assert main(["protocol", "--config", str(path), "--out", str(tmp_path / "x")]) == code
 
 
 # ---------------------------------------------------------------------------

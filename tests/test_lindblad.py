@@ -5,16 +5,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from noisectrl import _expm, lindblad, models, reach
 from noisectrl.exceptions import NumericalHealthError
-from noisectrl.lindblad import (BathParams, assemble_liouvillian, commutator_superop,
-                                diag_channel_theta, dissipator_superop,
+from noisectrl.lindblad import (BathParams, assemble_liouvillian, diag_channel_theta,
                                 heat_bath_generator, pauli_basis, propagator,
-                                theta_channel_exact, theta_generator,
-                                trotter_decoupled_propagator, v_theta)
+                                theta_channel_exact, theta_generator, v_theta)
 from noisectrl.lindblad import liouvillians
 from noisectrl.models import ControlSystem, ion_trap_model, ising_chain, thermal_state, zero_state
 from noisectrl.optim import ControlSequence, TransferProblem, error
 from noisectrl.qops import (IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             embed_local, random_density, unvec, vec)
+from noisectrl.schedule import HoldSegment, Schedule, UnitarySegment, propagate_schedule
+from superops import commutator_superop, dissipator_superop
 
 
 def displayed_theta_generator(theta):
@@ -69,6 +69,8 @@ class TestDissipatorSuperop:
     def test_matches_displayed_theta_generator(self, theta):
         np.testing.assert_allclose(theta_generator(theta),
                                    displayed_theta_generator(theta), atol=1e-14)
+        np.testing.assert_allclose(theta_generator(theta), dissipator_superop(v_theta(theta)),
+                                   rtol=0, atol=1e-15)
 
     def test_trace_preservation_row(self):
         rng = np.random.default_rng(5)
@@ -489,11 +491,10 @@ class TestExpm:
 
 
 @pytest.mark.parametrize("call", [
-    lambda: trotter_decoupled_propagator(np.diag([1.0, -1.0]), np.nan, 1.0, 2),
     lambda: reach._pair_dynamics(np.array([np.inf, 0.0, 1.0, -1.0]), 5.0, 1.0, 4),
     lambda: error(TransferProblem(ising_chain(1), zero_state(1), thermal_state(1), 1.0, 2),
                   ControlSequence(0.5, np.full((2, 2), np.nan), np.zeros((2, 1)))),
-], ids=["trotter", "pair_dynamics", "optim"])
+], ids=["pair_dynamics", "optim"])
 def test_non_finite_exponent_is_a_numerical_failure(call):
     with pytest.raises(NumericalHealthError, match="non-finite"):
         call()
@@ -702,34 +703,49 @@ class TestHeatBath:
         assert abs(out_joint[0, 1].real - 0.2) > 1e-3
 
 
+def decoupled_hold(gamma, t, k):
+    """First-order pi-pulse decoupling as a schedule: (hold h, X_2, hold h, X_2) x k,
+    h = t / 2k, at bit-flip amplitude ``gamma`` on a two-qubit chain."""
+    hold = HoldSegment(np.zeros(4), np.array([gamma]), t / (2 * k))
+    return Schedule((hold, UnitarySegment(embed_local(SIGMA_X, 2, 2))) * (2 * k))
+
+
+def bare_hold(gamma, t):
+    return Schedule((HoldSegment(np.zeros(4), np.array([gamma]), t),))
+
+
 class TestTrotterDecoupling:
     def test_exact_when_drift_vanishes(self):
-        gam = 2.0 * dissipator_superop(embed_local(SIGMA_X / 2, 2, 2))
-        got = trotter_decoupled_propagator(np.zeros((2, 2)), 2.0, 0.9, k=1)
-        np.testing.assert_allclose(got, propagator(gam, 0.9), atol=1e-12)
+        bare = ising_chain(2, coupling=0.0, noise_kind="bitflip")
+        rho = random_density(2, 3)
+        np.testing.assert_allclose(propagate_schedule(bare, decoupled_hold(2.0, 0.9, 1), rho),
+                                   propagate_schedule(bare, bare_hold(2.0, 0.9), rho),
+                                   rtol=0, atol=1e-12)
 
     def test_error_halves_with_k(self):
-        h02 = np.pi * 0.5 * SIGMA_Z        # 2-qubit Ising coupling part
+        # drift (pi/2) sigma_z sigma_z, removed from the terminal noise at first order
+        chain = ising_chain(2, noise_kind="bitflip")
         gamma, t = 5.0, 0.5
-        exact = propagator(gamma * dissipator_superop(embed_local(SIGMA_X / 2, 2, 2)), t)
-        errs = {k: np.linalg.norm(
-            trotter_decoupled_propagator(h02, gamma, t, k) - exact)
-            for k in (8, 16, 32, 64)}
+        rho = random_density(2, 5)
+        exact = propagate_schedule(ising_chain(2, coupling=0.0, noise_kind="bitflip"),
+                                   bare_hold(gamma, t), rho)
+        errs = {k: np.linalg.norm(propagate_schedule(chain, decoupled_hold(gamma, t, k), rho)
+                                  - exact)
+                for k in (8, 16, 32, 64)}
         for k in (8, 16, 32):
             ratio = errs[2 * k] / errs[k]
             assert 0.4 <= ratio <= 0.6
 
     def test_pi_pulse_sign_inversion(self):
-        # conjugating by the terminal pi_x pulse flips the coupling sign exactly
-        h02 = np.pi * 0.5 * SIGMA_Z
-        coupling = np.kron(h02, SIGMA_Z)
-        gam = 1.5 * dissipator_superop(embed_local(SIGMA_X / 2, 2, 2))
-        h_hat = commutator_superop(coupling)
-        pulse = embed_local(SIGMA_X, 2, 2)
-        conj = np.kron(pulse.conj(), pulse)
-        lhs = conj @ propagator(gam + 1j * h_hat, 0.4) @ conj
-        rhs = propagator(gam - 1j * h_hat, 0.4)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+        # conjugating a hold by the terminal pi_x pulse flips the coupling sign exactly
+        pulse = UnitarySegment(embed_local(SIGMA_X, 2, 2))
+        hold = bare_hold(1.5, 0.4).segments[0]
+        rho = random_density(2, 7)
+        lhs = propagate_schedule(ising_chain(2, noise_kind="bitflip"),
+                                 Schedule((pulse, hold, pulse)), rho)
+        rhs = propagate_schedule(ising_chain(2, coupling=-1.0, noise_kind="bitflip"),
+                                 Schedule((hold,)), rho)
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
 def test_theta_fixed_point_annihilated():

@@ -482,15 +482,17 @@ def pauli_string(label: str) -> np.ndarray:
     return out
 
 
-def _all_pairs_closure(generators, tol: float = 1e-10) -> int:
+def _all_pairs_closure(generators, tol: float = 1e-8) -> int:
     """Reference closure: brackets of every pair of basis elements.
 
     Dimension of the real Lie algebra generated by {i H} under commutators.
 
-    Generators are projected to their traceless part; candidates are
-    orthonormalized against the running basis in the Hilbert-Schmidt inner
-    product (two Gram-Schmidt passes, threshold ``tol``).  Full unitary
-    controllability on n qubits corresponds to the value N^2 - 1.
+    Generators are projected to their traceless part, which is scaled to
+    unit norm or dropped where it is at most ``tol`` of its generator's
+    norm; candidates are orthonormalized against the running basis in the
+    Hilbert-Schmidt inner product (two Gram-Schmidt passes, threshold
+    ``tol``).  Full unitary controllability on n qubits corresponds to the
+    value N^2 - 1.
     """
     mats = [as_matrix(g) for g in generators]
     if not mats:
@@ -521,7 +523,9 @@ def _all_pairs_closure(generators, tol: float = 1e-10) -> int:
 
     for m in mats:
         traceless = m - (np.trace(m) / dim) * np.eye(dim)
-        try_add(1j * traceless)
+        norm = np.linalg.norm(traceless)
+        if norm > tol * np.linalg.norm(m):
+            try_add(1j * traceless / norm)
 
     i = 0
     while i < len(basis_mats):
@@ -564,33 +568,49 @@ def test_closure_matches_all_pairs_reference(gens, seed):
 
 
 @settings(max_examples=15, deadline=None)
-@given(gens=pauli_generator_sets(), exponent=st.floats(-12.0, 12.0))
-@example(gens=[SIGMA_X, SIGMA_Y], exponent=-11.0)
-def test_closure_dimension_is_unit_invariant(gens, exponent):
-    """Rescaling every Hamiltonian by one factor c, i.e. changing units,
-    leaves the generated algebra and so its dimension unchanged."""
-    c = 10.0 ** exponent
-    assert lie_closure_dimension([c * g for g in gens]) == lie_closure_dimension(gens)
+@given(gens=pauli_generator_sets(),
+       exponents=st.lists(st.floats(-12.0, 12.0), min_size=4, max_size=4))
+@example(gens=[SIGMA_X, SIGMA_Y], exponents=[-11.0] * 4)
+@example(gens=[SIGMA_X, SIGMA_Y], exponents=[0.0, -11.0, 0.0, 0.0])
+def test_closure_dimension_is_unit_invariant(gens, exponents):
+    """Rescaling each Hamiltonian by its own factor c_k, i.e. changing its
+    units, leaves the generated algebra and so its dimension unchanged."""
+    scaled = [10.0 ** e * g for e, g in zip(exponents, gens)]
+    assert lie_closure_dimension(scaled) == lie_closure_dimension(gens)
 
 
-@st.composite
-def sparse_hermitian_sets(draw):
-    """One to three random Hermitian generators at a non-qubit dimension (or
-    1), each with one to three random entries and their mirror images."""
-    dim = draw(st.sampled_from([6, 5, 3, 1]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def sparse_hermitian_set(dim: int, seed: int, count: int) -> list:
+    """``count`` random Hermitian generators, each with one to three random
+    entries and their mirror images, every draw from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
     gens = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(count):
         h = np.zeros((dim, dim), dtype=complex)
-        for _ in range(draw(st.integers(1, 3))):
+        for _ in range(rng.integers(1, 4)):
             j, k = rng.integers(dim, size=2)
             h[j, k] += rng.standard_normal() + (1j * rng.standard_normal() if j != k else 0)
         gens.append(h + h.conj().T)
     return gens
 
 
+def sparse_hermitian_sets():
+    """One to three sparse generators at a non-qubit dimension (or 1)."""
+    return st.builds(sparse_hermitian_set, st.sampled_from([6, 5, 3, 1]),
+                     st.integers(0, 2**32 - 1), st.integers(1, 3))
+
+
+# six sets the closure once miscounted, keeping a rounding direction just above
+# an absolute cut (true dims 25, 25, 25, 25, 12, 5), and two the reference overcounted
 @settings(max_examples=30, deadline=None)
 @given(gens=sparse_hermitian_sets())
+@example(gens=sparse_hermitian_set(6, 310, 3))
+@example(gens=sparse_hermitian_set(6, 989, 3))
+@example(gens=sparse_hermitian_set(6, 519, 3))
+@example(gens=sparse_hermitian_set(6, 1065, 3))
+@example(gens=sparse_hermitian_set(5, 169, 3))
+@example(gens=sparse_hermitian_set(5, 351, 3))
+@example(gens=sparse_hermitian_set(6, 710, 3))
+@example(gens=sparse_hermitian_set(6, 994, 3))
 def test_closure_matches_all_pairs_reference_beyond_qubits(gens):
     """The real Hermitian coordinates hold for any N: sparse generator sets at
     dimensions 1, 3, 5 and 6 close to the all-pairs reference's dimension."""

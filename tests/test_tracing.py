@@ -58,11 +58,11 @@ def test_every_expm_call_reaches_the_traced_attribute(tmp_path, monkeypatch):
             path = tmp_path / f"{mode}.json"
             path.write_text(json.dumps(cfg | {"mode": mode}))
             assert cli.main([mode, "--config", str(path), "--out", str(tmp_path / mode)]) == 0
-        lindblad.trotter_decoupled_propagator(np.diag([1.0, -1.0]), 1.0, 1.0, 2)
+        lindblad.propagator(-np.eye(4), 1.0)
     finally:
         tracer.uninstall()
     spans = tracer.select("test", "expm")
     for caller in ("optim.eval", "optim.propagate", "schedule.propagate",
                    "hlp.compile", "hlp.predict"):
         assert any(tracing._inside(s, caller) for s in spans), caller
-    assert spans[-1].parent is None     # the direct Trotter call
+    assert spans[-1].parent is None     # the direct propagator call
