@@ -34,8 +34,7 @@ for noise_time in (1.0, 2.0, 4.0):
 
 print("\n=== free evolution floor ===")
 problem = TransferProblem(flip_system, zero_state(n), thermal_state(n), 4.0, 60)
-seq = ControlSequence(dt=problem.dt, u=np.zeros((60, 2 * n)),
-                      gamma=np.full((60, 1), gamma_star))
+seq = ControlSequence(u=np.zeros((60, 2 * n)), gamma=np.full((60, 1), gamma_star))
 traj = propagate(problem, seq)
 target = vec(thermal_state(n).matrix)
 dists = [frobenius_error(s, target) for s in traj.states]

@@ -7,7 +7,7 @@ One JSON document describes an experiment; subcommands select the mode::
 
 Artifacts written to the output directory:
 
-* ``trajectory.csv``   time, descending eigenvalues, Frobenius distance to target
+* ``trajectory.csv``   time, descending eigenvalues, distance to target (states or spectra)
 * ``sequence.csv``     per-slice amplitudes (slice modes) or segment listing
 * ``result.json``      mode-specific summary, deterministic for fixed config+seed
 
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lindblad, models, optim, protocols, reach
+from . import models, optim, protocols, reach
 from .exceptions import ConfigurationError, NumericalHealthError, ReachabilityError, check
 from .qops import (DensityOperator, as_matrix, frobenius_error, random_density,
                    sorted_spectrum, vec)
@@ -172,12 +172,11 @@ def load(config, mode: str | None = None, seed: int | None = None):
             sec = _section(config, "sequence", required=False)
             style = _get(sec, "style", str, "zero")
             if sec.get("u") is not None or sec.get("gamma") is not None:
-                seq = optim.ControlSequence(problem.dt, _get(sec, "u", list),
-                                            _get(sec, "gamma", list))
+                seq = optim.ControlSequence(_get(sec, "u", list), _get(sec, "gamma", list))
             elif style in ("zero", "full_noise"):
                 u = np.zeros((slices, len(system.controls)))
                 gamma = np.tile(system.gamma_bounds, (slices, 1)) * (style == "full_noise")
-                seq = optim.ControlSequence(problem.dt, u, gamma)
+                seq = optim.ControlSequence(u, gamma)
             elif style in ("uniform_random", "noise_blocks"):
                 u_scale = _get(sec, "u_scale", float, 1.0, "nonnegative")
                 blocks = None
@@ -186,7 +185,6 @@ def load(config, mode: str | None = None, seed: int | None = None):
                 seq = optim.random_sequence(problem, seed, noise_blocks=blocks, u_scale=u_scale)
             else:
                 raise ValueError(f"unknown style {style!r}")
-            lindblad._amplitudes(system, seq.u, seq.gamma)
             optim._check_sequence(problem, seq)
             built["sequence"] = seq
 
@@ -259,11 +257,11 @@ def _write_trajectory(path: Path, times, spectra, errors):
     _write_table(path, ["time", *labels, "delta_F"], [times, spectra, errors])
 
 
-def _write_slices(path: Path, system, seq: optim.ControlSequence):
-    labels = [f"u_{c}" for c in system.control_labels()]
-    labels += [f"gamma_{nz}" for nz in system.noise_labels()]
+def _write_slices(path: Path, problem: optim.TransferProblem, seq: optim.ControlSequence):
+    labels = [f"u_{c}" for c in problem.system.control_labels()]
+    labels += [f"gamma_{nz}" for nz in problem.system.noise_labels()]
     k = np.arange(seq.slice_count)
-    _write_table(path, ["slice", "t_start", *labels], [k, k * seq.dt, seq.u, seq.gamma])
+    _write_table(path, ["slice", "t_start", *labels], [k, k * problem.dt, seq.u, seq.gamma])
 
 
 def _write_segments(path: Path, schedule: Schedule):
@@ -313,7 +311,7 @@ def _run_transfer(built, out):
     tvec = vec(as_matrix(problem.target))
     errors = [frobenius_error(state, tvec) for state in traj.states]
     _write_trajectory(out / "trajectory.csv", traj.times, traj.sorted_eigenvalues, errors)
-    _write_slices(out / "sequence.csv", problem.system, seq)
+    _write_slices(out / "sequence.csv", problem, seq)
     if "optimizer" not in built:
         result.update({"final_error": errors[-1], "slices": problem.slices})
     return result

@@ -1,7 +1,9 @@
 """Piecewise-constant sequence propagation and gradient-based optimization.
 
-The error functional is the Frobenius distance between the propagated and
-target states,
+A :class:`TransferProblem` fixes the horizon T and its M equal slices, of
+length dt = T / M; a :class:`ControlSequence` is only the amplitudes, one
+row per slice.  The error functional is the Frobenius distance between the
+propagated and target states,
 
     delta_F^2 = || X_M ... X_1 r_0 - r_target ||^2,
 
@@ -56,16 +58,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ControlSequence:
-    """M uniform time slices of coherent (u) and noise (gamma) amplitudes."""
+    """Coherent (u) and noise (gamma) amplitudes, one row per time slice.
 
-    dt: float
+    A sequence holds no time: it is read on the slices of the
+    :class:`TransferProblem` it is passed with, each ``problem.dt`` long, and
+    :func:`_check_sequence` requires one row per slice of that problem.
+    """
+
     u: np.ndarray          # (M, n_controls)
     gamma: np.ndarray      # (M, n_noises)
 
     def __post_init__(self):
         u = np.atleast_2d(np.asarray(self.u, dtype=float))
         g = np.atleast_2d(np.asarray(self.gamma, dtype=float))
-        check("dt", self.dt, rule="positive")
         if u.shape[0] != g.shape[0] or u.shape[0] < 1:
             raise ValueError("u and gamma must agree on the number of slices")
         object.__setattr__(self, "u", u)
@@ -74,17 +79,6 @@ class ControlSequence:
     @property
     def slice_count(self) -> int:
         return self.u.shape[0]
-
-    @property
-    def duration(self) -> float:
-        return self.dt * self.slice_count
-
-    def refine(self, factor: int = 2) -> "ControlSequence":
-        """Split every slice into `factor` identical shorter slices."""
-        check("factor", factor, int, 1)
-        return ControlSequence(dt=self.dt / factor,
-                               u=np.repeat(self.u, factor, axis=0),
-                               gamma=np.repeat(self.gamma, factor, axis=0))
 
 
 @dataclass(frozen=True)
@@ -108,6 +102,7 @@ class TransferProblem:
 
     @property
     def dt(self) -> float:
+        """The slice length T / M, for every sequence propagated on this problem."""
         return self.total_time / self.slices
 
 
@@ -124,9 +119,13 @@ def _coordinates(system, rho) -> np.ndarray:
 
 
 def _check_sequence(problem, seq):
-    """The sequence's duration test; its amplitudes are checked by ``liouvillians``."""
-    if abs(seq.duration - problem.total_time) > 1e-9 * max(1.0, problem.total_time):
-        raise ValueError("sequence duration does not match the problem horizon")
+    """The one check that ties a sequence to its problem: its amplitudes (the
+    shapes and noise bounds of :mod:`noisectrl.lindblad`), then one row per
+    slice of the problem."""
+    _amplitudes(problem.system, seq.u, seq.gamma)
+    if seq.slice_count != problem.slices:
+        raise ValueError(f"sequence has {seq.slice_count} slices, "
+                         f"problem has {problem.slices}")
 
 
 def _exponents(problem, u, gamma):
@@ -240,8 +239,7 @@ def optimize(problem: TransferProblem, init: ControlSequence,
     # imported here, not at module level: only optimize jobs pay its import
     import scipy.optimize
 
-    _check_sequence(problem, init)
-    _amplitudes(problem.system, init.u, init.gamma)    # L-BFGS-B would clip them silently
+    _check_sequence(problem, init)    # L-BFGS-B would clip bad amplitudes silently
     check("max_iters", max_iters, int, 1)
     check("tol", tol, rule="nonnegative")
     m = init.slice_count
@@ -296,8 +294,7 @@ def optimize(problem: TransferProblem, init: ControlSequence,
         message = "tolerance reached"
 
     xb = best["x"]
-    seq = ControlSequence(dt=init.dt,
-                          u=xb[:m * n_c].reshape(m, n_c),
+    seq = ControlSequence(u=xb[:m * n_c].reshape(m, n_c),
                           gamma=xb[m * n_c:].reshape(n_g, m).T)
     return OptimizationResult(sequence=seq, trajectory=_trajectory(problem, best["f"]),
                               error_history=np.array(history),
@@ -330,7 +327,7 @@ def random_sequence(problem: TransferProblem, seed: int,
         chunk = m / (2.0 * noise_blocks)
         on = (np.floor(np.arange(m) / chunk).astype(int) % 2) == 0
         gamma = np.where(on[:, None], bounds[None, :], 0.0)
-    return ControlSequence(dt=problem.dt, u=u, gamma=gamma)
+    return ControlSequence(u=u, gamma=gamma)
 
 
 def optimize_restarts(problem: TransferProblem, restarts: int = 9, seed: int = 0,

@@ -91,9 +91,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def spectrum(self) -> np.ndarray:
-        return sorted_spectrum(self)
-
 
 def _density(rho) -> DensityOperator:
     """``rho`` itself if it is a :class:`DensityOperator`, else one built from it."""

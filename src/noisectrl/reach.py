@@ -290,12 +290,6 @@ def hlp_plan(y, x, gamma_star: float, residual_target: float = 1e-4) -> HlpPlan:
     y_s = np.sort(y)[::-1].copy()
     x_s = np.sort(x)[::-1].copy()
     raw = _hlp_raw_steps(y_s, x_s, tol=1e-14)
-    if not raw:
-        return HlpPlan(initial_spectrum=y_s, target_spectrum=x_s,
-                       gamma_star=gamma_star, residual_target=residual_target,
-                       steps=(), predicted_final_spectrum=y_s.copy(),
-                       predicted_residual=float(np.linalg.norm(y_s - x_s)))
-
     eps_star = np.clip([2.0 * lam - 1.0 for _, _, lam in raw], 0.0, 1.0)
     is_half = eps_star <= 1e-12   # only exact half-mixes get truncated
 

@@ -74,8 +74,7 @@ def test_criterion_03_free_evolution_erasure_floor():
     budget = Budget(10.0)
     system = ising_chain(3, noise_kind="bitflip", gamma_star=5.0)
     problem = TransferProblem(system, zero_state(3), thermal_state(3), 4.0, 60)
-    seq = ControlSequence(dt=problem.dt, u=np.zeros((60, 6)),
-                          gamma=np.full((60, 1), 5.0))
+    seq = ControlSequence(u=np.zeros((60, 6)), gamma=np.full((60, 1), 5.0))
     traj = propagate(problem, seq)
     target = vec(thermal_state(3).matrix)
     floor = min(frobenius_error(s, target) for s in traj.states)
@@ -130,8 +129,8 @@ def test_criterion_05_gradient_against_central_difference():
                 else:
                     gp[k, c - n_c] += h
                     gm[k, c - n_c] -= h
-                e_plus = error(problem, ControlSequence(dt=seq.dt, u=up, gamma=gp))
-                e_minus = error(problem, ControlSequence(dt=seq.dt, u=um, gamma=gm))
+                e_plus = error(problem, ControlSequence(u=up, gamma=gp))
+                e_minus = error(problem, ControlSequence(u=um, gamma=gm))
                 oracle[k, c] = (e_plus ** 2 - e_minus ** 2) / (2 * h)
         mask = np.abs(oracle) > 1e-8
         rel = np.abs(grad[mask] - oracle[mask]) / np.abs(oracle[mask])

@@ -79,9 +79,6 @@ TABLE = [
      {"trotter_steps": ""}),
     (reach.predict_executed_spectrum, dict(plan=_PLAN, system=_CHAIN, trotter_steps=2),
      {"trotter_steps": ""}),
-    (optim.ControlSequence, dict(dt=0.5, u=np.zeros((2, 2)), gamma=np.zeros((2, 1))),
-     {"dt": "2.5"}),
-    (_START.refine, dict(factor=2), {"factor": ""}),
     (optim.TransferProblem, dict(system=_QUBIT, rho0=models.zero_state(1),
                                  target=models.thermal_state(1), total_time=1.0, slices=2),
      {"total_time": "2.5", "slices": ""}),
@@ -148,8 +145,7 @@ def test_bad_scalar_argument_raises_value_error_naming_it(case):
     lambda bad: reach.majorises([bad, 1.0], [0.5, 0.5]),
     lambda bad: reach.hlp_plan([bad, 1.0], [0.5, 0.5], gamma_star=5.0),
     lambda bad: lindblad.assemble_liouvillian(_CHAIN, np.zeros(4), [bad]),
-    lambda bad: optim.error(_PROBLEM, optim.ControlSequence(0.5, np.zeros((2, 2)),
-                                                            [[bad], [0.0]])),
+    lambda bad: optim.error(_PROBLEM, optim.ControlSequence(np.zeros((2, 2)), [[bad], [0.0]])),
 ], ids=["DensityOperator", "sorted_spectrum", "majorises", "hlp_plan", "assemble_liouvillian",
         "error"])
 def test_non_finite_array_raises_value_error(call, bad):

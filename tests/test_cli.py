@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from noisectrl import cli, lindblad, models
 from noisectrl.cli import MODES, main, validate
 from noisectrl.exceptions import NumericalHealthError
-from noisectrl.optim import ControlSequence
+from noisectrl.optim import ControlSequence, TransferProblem
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -250,9 +250,10 @@ class TestOtherModes:
 
 
 def test_slice_table_holds_every_value_at_full_precision(tmp_path):
-    system = models.ising_chain(1)
-    seq = ControlSequence(0.1, [[-0.0, 1 / 3], [1e-300, -2.5e17]], [[0.1], [5.0]])
-    cli._write_slices(tmp_path / "s.csv", system, seq)
+    problem = TransferProblem(models.ising_chain(1), models.zero_state(1),
+                              models.thermal_state(1), 0.2, 2)
+    seq = ControlSequence([[-0.0, 1 / 3], [1e-300, -2.5e17]], [[0.1], [5.0]])
+    cli._write_slices(tmp_path / "s.csv", problem, seq)
     lines = (tmp_path / "s.csv").read_text().splitlines()
     assert lines[1:] == ["0,0,-0,0.33333333333333331,0.10000000000000001",
                          "1,0.10000000000000001,1e-300,-2.5e+17,5"]
@@ -436,6 +437,8 @@ MALFORMED = [
      "gamma[0, 0] = nan for 'bitflip2' is not a finite number"),
     ("hlp", "hlp", "system.noise", {"theta": 0.500004},
      "execute needs bitflip noise on the last qubit, system has 'theta2'"),
+    ("simulate", "sequence", None, {"u": [[0.0] * 4] * 3, "gamma": [[0.0]] * 3},
+     "sequence has 3 slices, problem has 4"),
 ]
 
 

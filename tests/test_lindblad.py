@@ -493,7 +493,7 @@ class TestExpm:
 @pytest.mark.parametrize("call", [
     lambda: reach._pair_dynamics(np.array([np.inf, 0.0, 1.0, -1.0]), 5.0, 1.0, 4),
     lambda: error(TransferProblem(ising_chain(1), zero_state(1), thermal_state(1), 1.0, 2),
-                  ControlSequence(0.5, np.full((2, 2), np.nan), np.zeros((2, 1)))),
+                  ControlSequence(np.full((2, 2), np.nan), np.zeros((2, 1)))),
 ], ids=["pair_dynamics", "optim"])
 def test_non_finite_exponent_is_a_numerical_failure(call):
     with pytest.raises(NumericalHealthError, match="non-finite"):

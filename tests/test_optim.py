@@ -15,14 +15,12 @@ from noisectrl.reach import majorises
 
 
 def zero_sequence(problem):
-    return ControlSequence(dt=problem.dt,
-                           u=np.zeros((problem.slices, len(problem.system.controls))),
+    return ControlSequence(u=np.zeros((problem.slices, len(problem.system.controls))),
                            gamma=np.zeros((problem.slices, len(problem.system.noises))))
 
 
 def full_noise_sequence(problem):
-    return ControlSequence(dt=problem.dt,
-                           u=np.zeros((problem.slices, len(problem.system.controls))),
+    return ControlSequence(u=np.zeros((problem.slices, len(problem.system.controls))),
                            gamma=np.tile(problem.system.gamma_bounds, (problem.slices, 1)))
 
 
@@ -88,7 +86,7 @@ class TestPropagate:
     def test_rejects_gamma_outside_bounds(self):
         system = ising_chain(1, gamma_star=5.0)
         problem = TransferProblem(system, zero_state(1), thermal_state(1), 1.0, 4)
-        seq = ControlSequence(dt=0.25, u=np.zeros((4, 2)), gamma=np.full((4, 1), 6.0))
+        seq = ControlSequence(u=np.zeros((4, 2)), gamma=np.full((4, 1), 6.0))
         with pytest.raises(ValueError):
             propagate(problem, seq)
         with pytest.raises(ValueError, match="not a finite number in"):
@@ -124,9 +122,23 @@ class TestError:
         problem = TransferProblem(system, random_density(2, 9), random_density(2, 10),
                                   2.0, 8)
         seq = random_sequence(problem, seed=11)
-        refined = seq.refine(2)
+        refined = ControlSequence(u=np.repeat(seq.u, 2, axis=0),
+                                  gamma=np.repeat(seq.gamma, 2, axis=0))
         problem2 = TransferProblem(system, problem.rho0, problem.target, 2.0, 16)
         assert abs(error(problem, seq) - error(problem2, refined)) < 1e-10
+
+
+@pytest.mark.parametrize("call", [propagate, error, gradient, optimize])
+def test_sequence_of_another_slice_count_is_rejected(call):
+    # the same amplitudes on 16 slices of the 8-slice horizon: every slice
+    # propagates for problem.dt, so the 16 slices would run for twice T
+    system = ising_chain(2, gamma_star=5.0)
+    problem = TransferProblem(system, random_density(2, 9), random_density(2, 10), 2.0, 8)
+    seq = random_sequence(problem, seed=11)
+    refined = ControlSequence(u=np.repeat(seq.u, 2, axis=0),
+                              gamma=np.repeat(seq.gamma, 2, axis=0))
+    with pytest.raises(ValueError, match="sequence has 16 slices, problem has 8"):
+        call(problem, refined)
 
 
 class TestGradient:
@@ -146,7 +158,7 @@ class TestGradient:
         grad = gradient(problem, seq)
 
         def err2(u, g):
-            return error(problem, ControlSequence(dt=seq.dt, u=u, gamma=g)) ** 2
+            return error(problem, ControlSequence(u=u, gamma=g)) ** 2
 
         h = 1e-7
         oracle = np.zeros_like(grad)
@@ -169,8 +181,7 @@ class TestGradient:
         # |0><0| is fixed under amplitude damping, so the gamma columns are flat
         system = ising_chain(1, noise_kind="amp", gamma_star=5.0)
         problem = TransferProblem(system, zero_state(1), thermal_state(1), 1.0, 5)
-        seq = ControlSequence(dt=0.2, u=np.zeros((5, 2)),
-                              gamma=np.full((5, 1), 2.0))
+        seq = ControlSequence(u=np.zeros((5, 2)), gamma=np.full((5, 1), 2.0))
         g = gradient(problem, seq)
         np.testing.assert_allclose(g[:, 2], 0, atol=1e-8)
 
@@ -188,8 +199,7 @@ def mixed_scale_problem(n=2):
     amplitude = _expm._THETA25 * 2.0 ** (np.arange(10) - 0.5) / (
         problem.dt * drive.sum(axis=-2).max(axis=-1))
     amplitude[0] = 0.0
-    seq = ControlSequence(dt=problem.dt, u=amplitude[:, None] * v,
-                          gamma=rng.uniform(0.0, 5.0, (10, 1)))
+    seq = ControlSequence(u=amplitude[:, None] * v, gamma=rng.uniform(0.0, 5.0, (10, 1)))
     a = -problem.dt * liouvillians(system, seq.u, seq.gamma)
     assert sorted(scaling_exponents(a)) == list(range(10))
     return problem, seq, a
@@ -249,7 +259,7 @@ class TestSharedPadeState:
         system = ion_trap_model()
         problem = TransferProblem(system, thermal_state(4), ghz_state(4), 10.0, 2)
         seq = random_sequence(problem, 1)
-        seq = ControlSequence(dt=seq.dt, u=seq.u * np.array([[0.1], [1.0]]), gamma=seq.gamma)
+        seq = ControlSequence(u=seq.u * np.array([[0.1], [1.0]]), gamma=seq.gamma)
         a = -problem.dt * liouvillians(system, seq.u, seq.gamma)
         assert len(set(scaling_exponents(a))) == 2
         assert_gradient_matches_scipy_frechet(problem, seq, a)
@@ -268,13 +278,13 @@ def test_gradient_matches_central_differences(n, noise, dephasing, slices, horiz
     h = 1e-5
     seq = random_sequence(problem, seed + 2, u_scale=u_scale)
     # keep the noise amplitudes a step inside [0, gamma_max] for the oracle
-    seq = ControlSequence(dt=seq.dt, u=seq.u, gamma=np.clip(seq.gamma, h, 5.0 - h))
+    seq = ControlSequence(u=seq.u, gamma=np.clip(seq.gamma, h, 5.0 - h))
     grad = gradient(problem, seq)
     amps = np.concatenate([seq.u, seq.gamma], axis=1)
     n_c = seq.u.shape[1]
 
     def err2(a):
-        return error(problem, ControlSequence(dt=seq.dt, u=a[:, :n_c], gamma=a[:, n_c:])) ** 2
+        return error(problem, ControlSequence(u=a[:, :n_c], gamma=a[:, n_c:])) ** 2
 
     oracle = np.zeros_like(grad)
     for k, c in np.ndindex(*grad.shape):
@@ -423,7 +433,7 @@ def test_error_with_background_dephasing_matches_slice_assembly():
     v = vec(problem.rho0.matrix)
     b = pauli_basis(3)
     for k in range(seq.slice_count):
-        x = propagator(assemble_liouvillian(system, seq.u[k], seq.gamma[k]), seq.dt)
+        x = propagator(assemble_liouvillian(system, seq.u[k], seq.gamma[k]), problem.dt)
         v = b @ x @ b.conj().T @ v
     expected = np.linalg.norm(v - vec(problem.target.matrix))
     assert abs(error(problem, seq) - expected) < 1e-12

@@ -142,7 +142,7 @@ class TestRandomDensity:
         assert rho.dim == 2  # construction already validates
 
     def test_three_qubits(self):
-        w = random_density(3, 5).spectrum()
+        w = sorted_spectrum(random_density(3, 5))
         assert len(w) == 8
         assert abs(w.sum() - 1) < 1e-12
         assert w.min() > 0  # full rank almost surely
