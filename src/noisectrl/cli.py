@@ -186,6 +186,9 @@ def load(config, mode: str | None = None, seed: int | None = None):
             else:
                 raise ValueError(f"unknown style {style!r}")
             optim._check_sequence(problem, seq)
+            # the library lets a non-finite u fail numerically; a config number must be finite
+            if not np.isfinite(seq.u).all():
+                raise ValueError("coherent amplitudes u must be finite numbers")
             built["sequence"] = seq
 
     if mode == "optimize":
@@ -205,9 +208,8 @@ def load(config, mode: str | None = None, seed: int | None = None):
                       trotter_steps=_get(sec, "trotter_steps", int, 64, 1),
                       execute=_get(sec, "execute", bool, True))
             # the executed schedule averages pairs by switching bit flip on the last qubit
-            if hl["execute"] and system is not None and reach._terminal_noise(system) is None:
-                raise ValueError("execute needs bitflip noise on the last qubit, "
-                                 f"system has {system.noises[0].label!r}")
+            if hl["execute"] and system is not None:
+                reach._terminal_noise(system, "bitflip", "execute")
             built["hlp"] = hl
 
     if mode == "protocol" and system is not None:
@@ -217,10 +219,7 @@ def load(config, mode: str | None = None, seed: int | None = None):
             if kind not in _PROTOCOL_NOISE:
                 raise ValueError(f"unknown kind {kind!r}")
             # the closed forms hold only for their own noise on the last qubit
-            noise = _PROTOCOL_NOISE[kind]
-            if reach._terminal_noise(system, models.NOISE_THETA[noise]) is None:
-                raise ValueError(f"{kind!r} needs {noise} noise on the last qubit, "
-                                 f"system has {system.noises[0].label!r}")
+            reach._terminal_noise(system, _PROTOCOL_NOISE[kind], repr(kind))
             noise_time = _get(sec, "noise_time", float,
                               None if kind == "erase_amp" else _REQUIRED, "nonnegative")
             built["protocol"] = dict(kind=kind, coupling=coupling, noise_time=noise_time,

@@ -17,6 +17,7 @@ import numpy as np
 from . import _expm
 from .exceptions import ConfigurationError, ReachabilityError, check
 from .lindblad import v_theta
+from .models import NOISE_THETA
 from .qops import DensityOperator, _density, _square, as_matrix, embed_local
 from .schedule import HoldSegment, Schedule, UnitarySegment
 
@@ -183,12 +184,14 @@ class HlpStep:
 
 @dataclass(frozen=True)
 class HlpPlan:
-    """Full transfer plan: sorted spectra, steps, and its own prediction."""
+    """Full transfer plan: sorted spectra, steps, and its own prediction.
+
+    ``gamma_star``, the bit-flip rate of its taus, is the rate its schedule and
+    prediction run at; the channel's ``gamma_max`` must be at least that."""
 
     initial_spectrum: np.ndarray
     target_spectrum: np.ndarray
     gamma_star: float
-    residual_target: float
     steps: tuple[HlpStep, ...]
     predicted_final_spectrum: np.ndarray
     predicted_residual: float
@@ -253,14 +256,6 @@ def _spectator_pairing(step_idx, raw_steps, values):
     return [ja, ka] + [q for p in pairs for q in p]
 
 
-def _simulate_ideal(y_sorted, raw_steps, eps_list):
-    """Value-identity simulation through the exact averaging blocks."""
-    vals = y_sorted.copy()
-    for (ja, ka, _lam), eps in zip(raw_steps, eps_list):
-        _contract_pair(vals, ja, ka, eps)
-    return vals
-
-
 def hlp_plan(y, x, gamma_star: float, residual_target: float = 1e-4) -> HlpPlan:
     """Decompose a majorised spectrum transfer into pairwise averaging steps.
 
@@ -294,8 +289,10 @@ def hlp_plan(y, x, gamma_star: float, residual_target: float = 1e-4) -> HlpPlan:
     is_half = eps_star <= 1e-12   # only exact half-mixes get truncated
 
     def residual(eps_floor):
-        eps = np.where(is_half, eps_floor, eps_star)
-        final = _simulate_ideal(y_s, raw, eps)
+        # value-identity simulation through the exact averaging blocks
+        final = y_s.copy()
+        for (ja, ka, _), eps in zip(raw, np.where(is_half, eps_floor, eps_star)):
+            _contract_pair(final, ja, ka, eps)
         return float(np.linalg.norm(np.sort(final) - np.sort(x_s)))
 
     if not np.any(is_half):
@@ -331,8 +328,7 @@ def hlp_plan(y, x, gamma_star: float, residual_target: float = 1e-4) -> HlpPlan:
         _contract_pair(vals, ja, ka, eps)
 
     return HlpPlan(
-        initial_spectrum=y_s, target_spectrum=x_s, gamma_star=gamma_star,
-        residual_target=residual_target, steps=tuple(steps),
+        initial_spectrum=y_s, target_spectrum=x_s, gamma_star=gamma_star, steps=tuple(steps),
         predicted_final_spectrum=np.sort(vals)[::-1].copy(),
         predicted_residual=float(np.linalg.norm(np.sort(vals) - np.sort(x_s))))
 
@@ -370,22 +366,25 @@ def _protection_unitary(dim: int) -> np.ndarray:
     return out
 
 
-def _terminal_noise(system, theta: float = 0.5):
-    """Index of the switchable noise that is V_theta on the last qubit (bit
-    flip, theta = 1/2, unless given), or None when the system has none."""
-    expected = embed_local(v_theta(theta), system.n, system.n)
-    for idx, noise in enumerate(system.noises):
-        if np.allclose(as_matrix(noise.operator), expected, rtol=0, atol=1e-12):
+def _terminal_noise(system, noise: str, who: str) -> int:
+    """Index of the switchable ``noise`` (a name in :data:`models.NOISE_THETA`)
+    on the last qubit, matched to 1e-12, or a ConfigurationError saying that
+    ``who`` needs it."""
+    expected = embed_local(v_theta(NOISE_THETA[noise]), system.n, system.n)
+    for idx, channel in enumerate(system.noises):
+        if np.allclose(as_matrix(channel.operator), expected, rtol=0, atol=1e-12):
             return idx
-    return None
+    labels = ", ".join(repr(label) for label in system.noise_labels()) or "none"
+    raise ConfigurationError(f"{who} needs {noise} noise on the last qubit, system has {labels}")
 
 
 def _schedulable(plan: HlpPlan, system, trotter_steps: int):
     """Checked inputs of a compiled schedule: terminal bit-flip noise index, drift energies."""
     check("trotter_steps", trotter_steps, int, 1)
-    noise_idx = _terminal_noise(system)
-    if noise_idx is None:
-        raise ConfigurationError("system lacks switchable bit-flip noise on the terminal qubit")
+    noise_idx = _terminal_noise(system, "bitflip", "an HLP schedule")
+    if plan.gamma_star > (gamma_max := system.noises[noise_idx].gamma_max):
+        raise ConfigurationError(f"plan's gamma_star {plan.gamma_star:g} exceeds "
+                                 f"gamma_max {gamma_max:g} of the bit-flip channel")
     h0 = as_matrix(system.h0)
     if np.abs(h0 - np.diag(np.diag(h0))).max() > 1e-12 * np.abs(h0).max():
         raise ConfigurationError("scheduler requires a diagonal drift Hamiltonian")
@@ -415,8 +414,8 @@ def _pair_dynamics(energies, gamma_star: float, tau: float, nseg: int):
     return np.arctan2(m[:, 1, 0], m[:, 0, 0]), np.hypot(m[:, 0, 0], m[:, 1, 0])
 
 
-def _noise_block_segments(system, noise_idx, energies, tau, trotter_steps):
-    """Decoupled noise-on train closed by its per-pair echo phase correction.
+def _noise_block_segments(system, noise_idx, gamma_star, energies, tau, trotter_steps):
+    """Decoupled noise-on train at ``gamma_star`` closed by its per-pair echo phase correction.
 
     One Trotter cycle is two exponential segments; the drift sign inversion
     of the decoupling identity is realized by exact diagonal drift-echo
@@ -427,12 +426,12 @@ def _noise_block_segments(system, noise_idx, energies, tau, trotter_steps):
     nseg = 2 * trotter_steps
     h = tau / nseg
     gamma = np.zeros(len(system.noises))
-    gamma[noise_idx] = system.noises[noise_idx].gamma_max
+    gamma[noise_idx] = gamma_star
     hold = HoldSegment(u=np.zeros(len(system.controls)), gamma=gamma, duration=h,
                        label="noise-on")
     kick_half = UnitarySegment(np.diag(np.exp(1j * (h / 2.0) * energies)), label="drift-echo")
     kick_full = UnitarySegment(np.diag(np.exp(1j * h * energies)), label="drift-echo")
-    thetas, _ = _pair_dynamics(energies, gamma[noise_idx], tau, nseg)
+    thetas, _ = _pair_dynamics(energies, gamma_star, tau, nseg)
     echo = UnitarySegment(np.diag(np.exp(-0.5j * np.outer(thetas, [1.0, -1.0]).ravel())),
                           label="echo-phase")
     return [kick_half] + [hold, kick_full] * (nseg - 1) + [hold, kick_half, echo]
@@ -441,11 +440,12 @@ def _noise_block_segments(system, noise_idx, energies, tau, trotter_steps):
 def hlp_execute(plan: HlpPlan, system, trotter_steps: int = 64) -> Schedule:
     """Compile a plan into a schedule of ideal unitaries and noise holds.
 
-    Requires switchable bit-flip noise on the terminal qubit, a diagonal
-    drift, and full unitary controllability (permutations and the
-    protection rotation are emitted as ideal instantaneous unitaries).
-    Propagating the schedule reproduces the plan's predicted spectrum up
-    to the residual allocation plus the finite-k decoupling error.
+    Requires switchable bit-flip noise on the terminal qubit, held at the
+    plan's ``gamma_star``, a diagonal drift, and full unitary controllability
+    (permutations and the protection rotation are emitted as ideal
+    instantaneous unitaries).  Propagating the schedule reproduces the plan's
+    predicted spectrum up to the residual allocation plus the finite-k
+    decoupling error.
     """
     noise_idx, energies = _schedulable(plan, system, trotter_steps)
     dim = system.dim
@@ -459,7 +459,7 @@ def hlp_execute(plan: HlpPlan, system, trotter_steps: int = 64) -> Schedule:
         # row selection of the identity: slot i receives value pre_permutation[i]
         place = u12 @ np.eye(dim, dtype=complex)[list(step.pre_permutation)]
         segments.append(UnitarySegment(place, label="place+protect"))
-        segments.extend(_noise_block_segments(system, noise_idx, energies,
+        segments.extend(_noise_block_segments(system, noise_idx, plan.gamma_star, energies,
                                               step.tau, trotter_steps))
         segments.append(UnitarySegment(place.conj().T, label="unprotect"))
     if plan.diagonalizer_target is not None:
@@ -468,14 +468,13 @@ def hlp_execute(plan: HlpPlan, system, trotter_steps: int = 64) -> Schedule:
 
 
 def predict_executed_spectrum(plan: HlpPlan, system, trotter_steps: int = 64) -> np.ndarray:
-    """Spectrum the compiled schedule should produce, from the exact
-    two-level pair dynamics (populations average exactly; protected pairs
-    contract by the computable decoupling factor)."""
-    noise_idx, energies = _schedulable(plan, system, trotter_steps)
-    gamma_star = system.noises[noise_idx].gamma_max
+    """Spectrum the compiled schedule should produce, from the exact two-level
+    pair dynamics at the plan's ``gamma_star`` (populations average exactly;
+    protected pairs contract by the computable decoupling factor)."""
+    _, energies = _schedulable(plan, system, trotter_steps)
     vals = plan.initial_spectrum.copy()
     for step in plan.steps:
-        _, mus = _pair_dynamics(energies, gamma_star, step.tau, 2 * trotter_steps)
+        _, mus = _pair_dynamics(energies, plan.gamma_star, step.tau, 2 * trotter_steps)
         slots = step.pre_permutation
         for i, f in enumerate([step.eps, *mus[1:]]):
             _contract_pair(vals, slots[2 * i], slots[2 * i + 1], f)

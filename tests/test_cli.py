@@ -398,48 +398,85 @@ BASES = {"simulate": base_simulate_config, "optimize": base_optimize_config,
          "majorize": base_majorize_config}
 DELETE = object()
 
-# (mode, section, key or None for the whole section, value, message); the
-# section is the one every diagnostic must name, the message part of one; a
-# key "other.key" edits another section whose fault this section reports
-MALFORMED = [
-    ("simulate", "horizon", "T", "abc", "T must be a finite number"),
-    ("simulate", "horizon", "slices", "x", "slices must be an integer"),
-    ("simulate", "horizon", "slices", 2.5, "slices must be an integer"),
-    ("simulate", "horizon", "T", "1e400", "T must be a finite number"),  # bare JSON number
-    ("optimize", "optimizer", "noise_blocks", 0, "noise_blocks must be at least 1"),
-    ("optimize", "optimizer", "restarts", 0, "restarts must be at least 1"),
-    ("optimize", "optimizer", "max_iters", "a", "max_iters must be an integer"),
-    ("optimize", "optimizer", None, [1], "must be an object"),
-    ("simulate", "sequence", None, [1], "must be an object"),
-    ("simulate", "sequence", None, {"u": [[0.0] * 4] * 3, "gamma": [[0.0]] * 4},
-     "number of slices"),
-    ("simulate", "sequence", None, {"u": [[0.0] * 4] * 4}, "gamma is required"),
-    ("simulate", "sequence", None, {"u": [[[0.0]] * 4] * 4, "gamma": [[0.0]] * 4},
-     "control shape (4, 1)"),
-    ("simulate", "sequence", None, {"u": [[0.0] * 4] * 4, "gamma": "x"},
-     "gamma must be an array"),
-    ("hlp", "hlp", "residual_target", "a", "residual_target must be a finite number"),
-    ("hlp", "hlp", "trotter_steps", "a", "trotter_steps must be an integer"),
-    ("hlp", "hlp", "execute", "no", "execute must be true or false"),
-    ("hlp", "hlp", None, [1], "must be an object"),
-    ("majorize", "target", None, {"state": "thermal", "n": 3},
-     "dimension 8 does not match initial dimension 4"),
-    ("majorize", "initial", None, {"state": "zero"}, "n is required"),
-    ("protocol", "protocol", "noise_time", "x", "noise_time must be a finite number"),
-    ("protocol", "protocol", "noise_time", DELETE, "noise_time is required"),
-    ("simulate", "initial", None, [1], "must be an object"),
-    ("simulate", "seed", None, "x", "must be a nonnegative integer"),
-    ("simulate", "out", None, 5, "must be a string"),
-    ("simulate", "system", "dephasing", "x", "dephasing must be a finite number"),
-    ("hlp", "hlp", "system.noise", "amp",
-     "execute needs bitflip noise on the last qubit, system has 'amp2'"),
-    ("simulate", "sequence", None, {"u": [[0.0] * 4] * 4, "gamma": [[math.nan]] + [[1.0]] * 3},
-     "gamma[0, 0] = nan for 'bitflip2' is not a finite number"),
-    ("hlp", "hlp", "system.noise", {"theta": 0.500004},
-     "execute needs bitflip noise on the last qubit, system has 'theta2'"),
-    ("simulate", "sequence", None, {"u": [[0.0] * 4] * 3, "gamma": [[0.0]] * 3},
-     "sequence has 3 slices, problem has 4"),
-]
+# {test id: (mode, section, key or None for the whole section, value, message)};
+# the section is the one every diagnostic must name, the message part of one; a
+# key "other.key" edits another section whose fault this section reports.  A row's
+# id is its own key, so adding a row renames no other test; the first 29 keep the
+# ids they had when ids were numbered by position, which is where they end in it
+MALFORMED = {
+    "simulate-horizon-T-0":
+        ("simulate", "horizon", "T", "abc", "T must be a finite number"),
+    "simulate-horizon-slices-1":
+        ("simulate", "horizon", "slices", "x", "slices must be an integer"),
+    "simulate-horizon-slices-2":
+        ("simulate", "horizon", "slices", 2.5, "slices must be an integer"),
+    "simulate-horizon-T-3":
+        ("simulate", "horizon", "T", "1e400", "T must be a finite number"),  # bare JSON number
+    "optimize-optimizer-noise_blocks-4":
+        ("optimize", "optimizer", "noise_blocks", 0, "noise_blocks must be at least 1"),
+    "optimize-optimizer-restarts-5":
+        ("optimize", "optimizer", "restarts", 0, "restarts must be at least 1"),
+    "optimize-optimizer-max_iters-6":
+        ("optimize", "optimizer", "max_iters", "a", "max_iters must be an integer"),
+    "optimize-optimizer-section-7":
+        ("optimize", "optimizer", None, [1], "must be an object"),
+    "simulate-sequence-section-8":
+        ("simulate", "sequence", None, [1], "must be an object"),
+    "simulate-sequence-section-9":
+        ("simulate", "sequence", None, {"u": [[0.0] * 4] * 3, "gamma": [[0.0]] * 4},
+         "number of slices"),
+    "simulate-sequence-section-10":
+        ("simulate", "sequence", None, {"u": [[0.0] * 4] * 4}, "gamma is required"),
+    "simulate-sequence-section-11":
+        ("simulate", "sequence", None, {"u": [[[0.0]] * 4] * 4, "gamma": [[0.0]] * 4},
+         "control shape (4, 1)"),
+    "simulate-sequence-section-12":
+        ("simulate", "sequence", None, {"u": [[0.0] * 4] * 4, "gamma": "x"},
+         "gamma must be an array"),
+    "hlp-hlp-residual_target-13":
+        ("hlp", "hlp", "residual_target", "a", "residual_target must be a finite number"),
+    "hlp-hlp-trotter_steps-14":
+        ("hlp", "hlp", "trotter_steps", "a", "trotter_steps must be an integer"),
+    "hlp-hlp-execute-15":
+        ("hlp", "hlp", "execute", "no", "execute must be true or false"),
+    "hlp-hlp-section-16":
+        ("hlp", "hlp", None, [1], "must be an object"),
+    "majorize-target-section-17":
+        ("majorize", "target", None, {"state": "thermal", "n": 3},
+         "dimension 8 does not match initial dimension 4"),
+    "majorize-initial-section-18":
+        ("majorize", "initial", None, {"state": "zero"}, "n is required"),
+    "protocol-protocol-noise_time-19":
+        ("protocol", "protocol", "noise_time", "x", "noise_time must be a finite number"),
+    "protocol-protocol-noise_time-20":
+        ("protocol", "protocol", "noise_time", DELETE, "noise_time is required"),
+    "simulate-initial-section-21":
+        ("simulate", "initial", None, [1], "must be an object"),
+    "simulate-seed-section-22":
+        ("simulate", "seed", None, "x", "must be a nonnegative integer"),
+    "simulate-out-section-23":
+        ("simulate", "out", None, 5, "must be a string"),
+    "simulate-system-dephasing-24":
+        ("simulate", "system", "dephasing", "x", "dephasing must be a finite number"),
+    "hlp-hlp-system.noise-25":
+        ("hlp", "hlp", "system.noise", "amp",
+         "execute needs bitflip noise on the last qubit, system has 'amp2'"),
+    "simulate-sequence-section-26":
+        ("simulate", "sequence", None, {"u": [[0.0] * 4] * 4, "gamma": [[math.nan]] + [[1.0]] * 3},
+         "gamma[0, 0] = nan for 'bitflip2' is not a finite number"),
+    "hlp-hlp-system.noise-27":
+        ("hlp", "hlp", "system.noise", {"theta": 0.500004},
+         "execute needs bitflip noise on the last qubit, system has 'theta2'"),
+    "simulate-sequence-section-28":
+        ("simulate", "sequence", None, {"u": [[0.0] * 4] * 3, "gamma": [[0.0]] * 3},
+         "sequence has 3 slices, problem has 4"),
+    "simulate-sequence-u-nan":
+        ("simulate", "sequence", None, {"u": [[math.nan] + [0.0] * 3] * 4, "gamma": [[0.0]] * 4},
+         "coherent amplitudes u must be finite numbers"),
+    "simulate-sequence-u-1e400":
+        ("simulate", "sequence", None, {"u": [["1e400"] + [0.0] * 3] * 4, "gamma": [[0.0]] * 4},
+         "coherent amplitudes u must be finite numbers"),   # bare JSON number
+}
 
 
 def malformed_config(mode, section, key, value):
@@ -457,10 +494,8 @@ def malformed_config(mode, section, key, value):
     return cfg
 
 
-@pytest.mark.parametrize(
-    "mode,section,key,value,message", MALFORMED,
-    ids=[f"{mode}-{section}-{key or 'section'}-{i}" for i, (mode, section, key, *_)
-         in enumerate(MALFORMED)])
+@pytest.mark.parametrize("mode,section,key,value,message", MALFORMED.values(),
+                         ids=MALFORMED.keys())
 def test_malformed_config_exits_2_naming_its_section(tmp_path, capsys, mode, section, key,
                                                      value, message):
     text = json.dumps(malformed_config(mode, section, key, value))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +15,7 @@ from noisectrl.reach import (beta_of_theta, fixed_point_theta,
                              predict_executed_spectrum, switch_time_amp,
                              switch_time_theta, t_transform,
                              theta_pair_admissible)
-from noisectrl.schedule import UnitarySegment, propagate_schedule
+from noisectrl.schedule import HoldSegment, UnitarySegment, propagate_schedule
 from noisectrl.qops import SIGMA_X, SIGMA_Y, SIGMA_Z, embed_local
 from exact_closure import exact_closure_dimension
 
@@ -319,8 +321,43 @@ class TestHlpExecute:
     def test_requires_terminal_bitflip(self):
         plan = hlp_plan([0.7, 0.3], [0.5, 0.5], gamma_star=5.0)
         amp_system = ising_chain(1, noise_kind="amp", gamma_star=5.0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="an HLP schedule needs bitflip noise on "
+                                                     "the last qubit, system has 'amp1'"):
             hlp_execute(plan, amp_system)
+
+    def test_system_without_switchable_noise_is_a_configuration_error(self):
+        # the message lists the system's noises, here none, rather than indexing the first
+        bare = dataclasses.replace(ising_chain(1, noise_kind="bitflip"), noises=())
+        plan = hlp_plan([0.7, 0.3], [0.5, 0.5], gamma_star=5.0)
+        for compile_or_predict in (hlp_execute, predict_executed_spectrum):
+            with pytest.raises(ConfigurationError, match="system has none$"):
+                compile_or_predict(plan, bare)
+        with pytest.raises(ConfigurationError,
+                           match="^'init' needs amp noise on the last qubit, system has none$"):
+            reach._terminal_noise(bare, "amp", "'init'")
+
+    def test_plan_above_the_channel_rate_is_refused(self):
+        # its taus assume bit flip at 5; the channel switches at most 2
+        plan = hlp_plan(np.arange(8, 0, -1) / 36.0, np.full(8, 1 / 8), gamma_star=5.0)
+        system = ising_chain(3, noise_kind="bitflip", gamma_star=2.0)
+        for compile_or_predict in (hlp_execute, predict_executed_spectrum):
+            with pytest.raises(ConfigurationError, match="gamma_star 5 exceeds gamma_max 2"):
+                compile_or_predict(plan, system)
+
+    def test_schedule_and_prediction_run_at_the_plan_rate(self):
+        # a plan at 2 on a channel that allows 5: every hold switches bit flip at 2,
+        # and the executed spectrum is the predicted one
+        plan = hlp_plan([0.4, 0.3, 0.2, 0.1], [0.35, 0.3, 0.2, 0.15],
+                        gamma_star=2.0, residual_target=1e-6)
+        system = ising_chain(2, noise_kind="bitflip", gamma_star=5.0)
+        schedule = hlp_execute(plan, system, trotter_steps=32)
+        rates = {float(seg.gamma.max()) for seg in schedule.segments
+                 if isinstance(seg, HoldSegment)}
+        assert rates == {2.0}
+        rho0 = DensityOperator(np.diag(plan.initial_spectrum).astype(complex))
+        out = propagate_schedule(system, schedule, rho0)
+        predicted = predict_executed_spectrum(plan, system, trotter_steps=32)
+        assert np.abs(sorted_spectrum(out) - predicted).max() < 1e-10
 
     @pytest.mark.parametrize("trotter", [0, -1])
     def test_rejects_nonpositive_trotter_count(self, trotter):
