@@ -118,14 +118,16 @@ def load(config, mode: str | None = None, seed: int | None = None):
             model = _get(sec, "model", str)
             gamma_star = _get(sec, "gamma_star", float, 5.0, "positive")
             coupling = _get(sec, "coupling", float, 1.0, "positive")
-            noise = sec.get("noise", "amp")
-            if isinstance(noise, dict):
-                noise = _get(noise, "theta", float)
-            elif noise not in list(models.NOISE_THETA):    # a list: unhashable noise too
-                raise ValueError(f"unknown noise {noise!r}")
-            if model == "ion_trap":
+            if model == "ion_trap":    # coupling stays: it sets the protocols' swap time
+                if fixed := [k for k in ("n", "noise", "noisy_site", "dephasing") if k in sec]:
+                    raise ValueError(f"{fixed[0]} is not a setting of model 'ion_trap'")
                 system = models.ion_trap_model(gamma_star=gamma_star)
             elif model == "ising_chain":
+                noise = sec.get("noise", "amp")
+                if isinstance(noise, dict):
+                    noise = _get(noise, "theta", float)
+                elif noise not in list(models.NOISE_THETA):    # a list: unhashable noise too
+                    raise ValueError(f"unknown noise {noise!r}")
                 system = models.ising_chain(
                     n=_get(sec, "n", int), coupling=coupling, noise_kind=noise,
                     noisy_site=_get(sec, "noisy_site", int, None), gamma_star=gamma_star,

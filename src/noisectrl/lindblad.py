@@ -20,24 +20,25 @@ generator ``L`` there acts on ``vec(rho)`` as ``B L B^dag``.  A Lindblad
 generator maps Hermitian matrices to Hermitian matrices, so there it is a
 real matrix; trace preservation reads "row 0 is zero", and since ``B`` is
 unitary every Frobenius distance is unchanged.  Every generator comes from
-:func:`_pauli_generators`; the closed-form single-qubit channels and
+:func:`_generator_terms`; the closed-form single-qubit channels and
 :func:`theta_generator` act on ``vec(rho)``.
 
-Each system's real generator stack ``(1 + C + L, N^2, N^2)`` (drift plus
-background noise, then ``i H_hat`` of each control, then ``Gamma_hat`` of
-each switchable noise) is built once, straight from Pauli products, on
-first use of ``ControlSystem.pauli_generators``.  :func:`liouvillians`
-contracts slice amplitudes with that stack; :func:`assemble_liouvillian`
-builds or reuses only the rows it reads.  Both return real Pauli-basis
-generators.  States return to ``vec(rho)`` only where they leave the
-library: in ``optim.Trajectory.states`` and in the cached holds of
-``schedule.propagate_schedule``.  Entry ``(i, j)`` of an operator lies in
-the *flip sector* ``i ^ j``, and ``P_a`` has entries only in the sector
-whose bit for qubit q is set where ``a_q`` is x or y; so ``B`` is block
-diagonal in the ``2^n`` sectors, and a cached hold exponentiates only the
-blocks of the groups of sectors its generator couples.  Generators and
-GRAPE propagators are dense; :func:`propagator` is one exponential of the
-whole generator.  The target scale is a handful of qubits.
+A system's real generator rows (drift plus background noise, ``i H_hat``
+of each control, ``Gamma_hat`` of each switchable noise) are built from
+Pauli products, one stack per row set read, kept by
+``ControlSystem.generator_rows``.  :func:`liouvillians`, the one
+contraction of slice amplitudes with them, reads only the rows some slice
+drives; :func:`assemble_liouvillian` is its one-slice form.  Both return
+real Pauli-basis generators.  States return to ``vec(rho)`` only where
+they leave the library: in ``optim.Trajectory.states`` and in the cached
+holds of ``schedule.propagate_schedule``.  Entry ``(i, j)`` of an operator
+lies in the *flip sector* ``i ^ j``, and ``P_a`` has entries only in the
+sector whose bit for qubit q is set where ``a_q`` is x or y; so ``B`` is
+block diagonal in the ``2^n`` sectors, and a cached hold exponentiates
+only the blocks of the groups of sectors its generator couples.
+Generators and GRAPE propagators are dense; :func:`propagator` is one
+exponential of the whole generator.  The target scale is a handful of
+qubits.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def _real(x: np.ndarray, what: str) -> np.ndarray:
     return x.real
 
 
-def _pauli_generators(n: int, hams, noises) -> np.ndarray:
+def _generator_terms(n: int, hams, noises) -> np.ndarray:
     """Real Pauli-basis generators on n qubits, checked, as one stack: ``i H_hat(H)``
     of each Hamiltonian in ``hams`` (count, N, N), then ``Gamma_hat(V)`` of each
     operator V in ``noises``.
@@ -170,22 +171,22 @@ def _pauli_generators(n: int, hams, noises) -> np.ndarray:
     return stack
 
 
-def _generator_stack(system, rows=None) -> np.ndarray:
-    """Rows ``rows`` (ascending; all by default) of a system's real Pauli-basis
-    generators from :func:`_pauli_generators`, as one read-only stack.
+def _generator_stack(system, rows) -> np.ndarray:
+    """Rows ``rows`` (ascending) of a system's real Pauli-basis generators from
+    :func:`_generator_terms`, as one read-only stack (kept by ``ControlSystem``).
 
     Rows: drift ``i H_hat(H_0)`` plus every background ``rate Gamma_hat(V)``,
     then ``i H_hat(H_j)`` per control, then ``Gamma_hat(V_l)`` per
     switchable noise.
     """
     hams = np.concatenate([as_matrix(system.h0)[None], _operators(system.controls, system.dim)])
-    rows = np.arange(len(hams) + len(system.noises)) if rows is None else np.asarray(rows, int)
+    rows = np.asarray(rows, int)
     h = rows[rows < len(hams)]
     noises = [as_matrix(system.noises[row - len(hams)].operator) for row in rows[len(h):]]
-    stack = _pauli_generators(system.n, hams[h], noises)
+    stack = _generator_terms(system.n, hams[h], noises)
     if 0 in h:
         background = [(as_matrix(op), rate) for op, rate in system.background_noises if rate > 0]
-        gens = _pauli_generators(system.n, hams[:0], [op for op, _ in background])
+        gens = _generator_terms(system.n, hams[:0], [op for op, _ in background])
         for (_, rate), gen in zip(background, gens):
             stack[0] += rate * gen
     stack.setflags(write=False)
@@ -220,33 +221,27 @@ def liouvillians(system, u, gamma) -> np.ndarray:
 
     ``u`` (M, m) and ``gamma`` (M, l), checked by :func:`_amplitudes`, hold
     one row per slice; the result is the real Pauli-basis stack (M, N^2,
-    N^2), one contraction of the amplitudes with the system's generator
-    stack.  The background (non-switchable) noise is part of every slice.
+    N^2), one contraction of the amplitudes with the generator rows that
+    some slice drives (``ControlSystem.generator_rows``), so a row no slice
+    drives is not built for it.  Background noise is part of every slice.
     """
     u, gamma = _amplitudes(system, u, gamma)
-    stack = system.pauli_generators
     amps = np.concatenate([np.ones((len(u), 1)), u, gamma], axis=1)
-    size = stack.shape[-1]
-    return (amps @ stack.reshape(len(stack), -1)).reshape(len(u), size, size)
+    used = np.flatnonzero(amps.any(axis=0))
+    stack = system.generator_rows(used)
+    return (amps[:, used] @ stack.reshape(len(used), -1)).reshape((len(u),) + stack.shape[1:])
 
 
 def assemble_liouvillian(system, u, gamma) -> np.ndarray:
     """Build L = i H_hat(H_0 + sum_j u_j H_j) + sum_l gamma_l Gamma_hat_l.
 
-    The single-slice form of :func:`liouvillians`, in the real Pauli basis:
+    The one-slice form of :func:`liouvillians`, in the real Pauli basis:
     ``u`` are unbounded real coherent amplitudes, one per control; ``gamma``
     must lie in [0, gamma_max] for each switchable noise channel.
     Background (non-switchable) noise terms of the system are always added.
-    Only the stack rows of nonzero amplitude are built or reused
-    (``ControlSystem.generator_rows``) and contracted as a vector: one
-    matrix-vector product, small enough to stay on the calling thread.
     """
-    u, gamma = _amplitudes(system, np.asarray(u, dtype=float)[None],
-                           np.asarray(gamma, dtype=float)[None])
-    amps = np.concatenate([[1.0], u[0], gamma[0]])
-    used = np.flatnonzero(amps)
-    stack = system.generator_rows(used)
-    return (amps[used] @ stack.reshape(len(used), -1)).reshape(stack.shape[1:])
+    return liouvillians(system, np.asarray(u, dtype=float)[None],
+                        np.asarray(gamma, dtype=float)[None])[0]
 
 
 def propagator(ell: np.ndarray, dt: float) -> np.ndarray:
@@ -271,7 +266,7 @@ def theta_generator(theta: float) -> np.ndarray:
     """4x4 noise superoperator of V_theta at unit amplitude on ``vec(rho)``:
     ``B D B^dag`` of its real Pauli-basis generator D at n = 1."""
     b = pauli_basis(1)
-    return b @ _pauli_generators(1, np.empty((0, 2, 2)), [v_theta(theta)])[0] @ b.conj().T
+    return b @ _generator_terms(1, np.empty((0, 2, 2)), [v_theta(theta)])[0] @ b.conj().T
 
 
 def theta_channel_exact(theta: float, gamma_t: float) -> np.ndarray:

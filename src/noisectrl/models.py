@@ -9,7 +9,6 @@ coupling J (or the trap interaction strength), times in the inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -44,9 +43,9 @@ class Noise:
 class ControlSystem:
     """Drift + labelled controls + switchable and background noise.
 
-    The operators are taken as fixed once the system is built: the real
-    Pauli-basis generator stack, or each row a schedule hold reads, is
-    computed from them on first use and kept.
+    The operators are taken as fixed once the system is built: the stack of
+    each set of real Pauli-basis generator rows that is read
+    (:meth:`generator_rows`) is computed from them on first use and kept.
     """
 
     n: int
@@ -89,25 +88,14 @@ class ControlSystem:
     def dim(self) -> int:
         return 2 ** self.n
 
-    @cached_property
-    def pauli_generators(self) -> np.ndarray:
-        """Read-only real stack (1 + C + L, N^2, N^2) of Pauli-basis generators.
-
-        Row 0 is the drift ``i H_hat(H_0)`` plus the background noise, then
-        ``i H_hat(H_j)`` per control and ``Gamma_hat(V_l)`` per switchable
-        noise (see :mod:`noisectrl.lindblad` for the basis).
-        """
-        return _generator_stack(self)
-
     def generator_rows(self, rows) -> np.ndarray:
-        """Rows ``rows`` (ascending) of :attr:`pauli_generators` as one stack: taken
-        from it once it is built, else each row built on first use and kept."""
-        if "pauli_generators" in self.__dict__:
-            return self.pauli_generators[rows]
-        kept = self.__dict__.setdefault("_generator_rows", {})
-        missing = [row for row in rows if row not in kept]
-        kept.update(zip(missing, _generator_stack(self, missing) if missing else ()))
-        return np.array([kept[row] for row in rows])
+        """Rows ``rows`` (ascending) of the real Pauli-basis generators as one
+        read-only stack: one ``lindblad._generator_stack`` call per row set, kept."""
+        rows = tuple(map(int, rows))
+        kept = self.__dict__.setdefault("_stacks", {})
+        if rows not in kept:
+            kept[rows] = _generator_stack(self, rows)
+        return kept[rows]
 
     @property
     def gamma_bounds(self) -> np.ndarray:

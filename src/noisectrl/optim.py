@@ -182,10 +182,11 @@ def _error_and_gradient(problem, u, gamma):
     for k in range(m - 1, 0, -1):
         b[k - 1] = x[k].T @ b[k]
 
-    # Q_k = L(A_k^T, b_k f_k^T) = L(A_k, f_k b_k^T)^T, read with transposed indices
+    # Q_k = L(A_k^T, b_k f_k^T) = L(A_k, f_k b_k^T)^T, read with transposed indices; the
+    # gradient needs every row, which is the exponents' stack once each column is driven
     q_t = frechet(f[:m], b)
-    grad = -2.0 * problem.dt * np.tensordot(q_t, problem.system.pauli_generators[1:],
-                                             axes=([2, 1], [1, 2]))
+    stack = problem.system.generator_rows(range(1 + u.shape[1] + gamma.shape[1]))
+    grad = -2.0 * problem.dt * np.tensordot(q_t, stack[1:], axes=([2, 1], [1, 2]))
     return float(r @ r), grad, f
 
 

@@ -129,11 +129,9 @@ def _hold_blocks(system, holds) -> list:
     return blocks
 
 
-def _phases(unitary: np.ndarray, shape: tuple):
+def _phases(unitary: np.ndarray):
     """``outer(p, conj(p))`` for a diagonal unitary with diagonal ``p``, else None;
     ``U rho U^dag`` of a diagonal ``U`` is ``rho`` times it, entry by entry."""
-    if unitary.shape != shape:
-        return None
     p = np.diagonal(unitary)
     return np.outer(p, p.conj()) if np.array_equal(unitary, np.diag(p)) else None
 
@@ -145,8 +143,9 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
     one row per segment boundary when ``record`` is set.  The state stays a
     matrix.  A diagonal unitary acts as ``rho * outer(p, conj(p))`` with its
     diagonal ``p``, any other as ``U rho U^dag``, decided once per distinct
-    segment object.  A hold acts on the state's entries gathered into flip
-    sectors, one batched matrix-vector product per block size of its
+    segment object, which raises ValueError if its shape is not the state's.
+    A hold acts on the state's entries gathered into flip sectors, one
+    batched matrix-vector product per block size of its
     :func:`_hold_blocks`.  Holds are memoized on (amplitudes, duration),
     which collapses the cost of the long repetitive decoupling trains; that
     key is built once per distinct segment object, and the holds of the
@@ -183,9 +182,11 @@ def propagate_schedule(system, schedule: Schedule, rho0, record: bool = False):
     for i, seg in enumerate(schedule.segments, 1):
         if isinstance(seg, UnitarySegment):
             if id(seg) not in unitaries:
-                u, phases = seg.unitary, _phases(seg.unitary, rho.shape)
-                gram = (np.diag(np.diagonal(phases).real) if phases is not None
-                        else u.conj().T @ u if u.shape == rho.shape else np.nan)
+                if (u := seg.unitary).shape != rho.shape:
+                    raise ValueError(f"unitary segment {i - 1} ({seg.label!r}) has shape "
+                                     f"{u.shape}, the state has {rho.shape}")
+                phases = _phases(u)
+                gram = np.diag(np.diagonal(phases).real) if phases is not None else u.conj().T @ u
                 unitaries[id(seg)] = phases, np.linalg.norm(gram - np.eye(len(rho))) <= _EXACT
             phases, exact = unitaries[id(seg)]
             if phases is None:

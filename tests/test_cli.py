@@ -287,7 +287,7 @@ def test_table_writer_is_savetxt_byte_for_byte(rows, width, data):
 
 
 def test_controllability_never_builds_the_generator_stack(tmp_path, monkeypatch):
-    def refuse(system):
+    def refuse(system, rows):
         raise AssertionError("generator stack built")
     monkeypatch.setattr(models, "_generator_stack", refuse)
     cfg = write_config(tmp_path, {
@@ -300,7 +300,7 @@ def test_broken_generator_stack_exits_3(tmp_path, monkeypatch):
     tables = lindblad._pauli_tables(2)
     monkeypatch.setattr(lindblad, "_pauli_tables", lambda n: (tables[0] * 1j,) + tables[1:])
     with pytest.raises(NumericalHealthError):
-        models.ising_chain(2).pauli_generators
+        models.ising_chain(2).generator_rows(range(6))
     path = write_config(tmp_path, base_simulate_config())
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 3
 
@@ -476,6 +476,11 @@ MALFORMED = {
     "simulate-sequence-u-1e400":
         ("simulate", "sequence", None, {"u": [["1e400"] + [0.0] * 3] * 4, "gamma": [[0.0]] * 4},
          "coherent amplitudes u must be finite numbers"),   # bare JSON number
+    **{f"simulate-system-ion_trap-{key}":
+       ("simulate", "system", None, {"model": "ion_trap", "gamma_star": 5.0, key: value},
+        f"{key} is not a setting of model 'ion_trap'")
+       for key, value in (("n", 4), ("noise", "bitflip"), ("noisy_site", 4),
+                          ("dephasing", 0.5))},
 }
 
 

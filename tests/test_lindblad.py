@@ -153,15 +153,22 @@ class TestLiouvillians:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_slices_match_single_slice_assembly_with_background(self, seed):
+        # columns driven in no slice, and columns driven in some slices only:
+        # each call reads its own row set, checked against the full stack too
         system = ising_chain(3, gamma_star=5.0, dephasing=0.2)
         rng = np.random.default_rng(seed)
         u = rng.standard_normal((4, len(system.controls)))
-        gamma = rng.uniform(0.0, 5.0, size=(4, 1))
+        u[:, rng.permutation(u.shape[1])[:2]] = 0.0
+        u[rng.random(u.shape) < 0.3] = 0.0
+        gamma = rng.uniform(0.0, 5.0, size=(4, 1)) * (rng.random((4, 1)) < 0.6)
         ells = liouvillians(system, u, gamma)
         assert ells.shape == (4, 64, 64)
+        amps = np.concatenate([np.ones((4, 1)), u, gamma], axis=1)
+        full = np.einsum("kr,rij->kij", amps, full_stack(system))
         for k in range(4):
             np.testing.assert_allclose(ells[k], assemble_liouvillian(system, u[k], gamma[k]),
                                        rtol=0, atol=1e-13)
+            np.testing.assert_allclose(ells[k], full[k], rtol=0, atol=1e-13)
 
     def test_sum_of_terms(self):
         # the generator is the drift, each control, each noise and the
@@ -187,6 +194,11 @@ class TestLiouvillians:
         ell = b @ assemble_liouvillian(system, np.zeros(2), np.zeros(1)) @ b.conj().T
         coh = vec(np.array([[0, 1], [0, 0]], dtype=complex))
         np.testing.assert_allclose(ell @ coh, 0.2 * coh, atol=1e-15)
+
+
+def full_stack(system):
+    """Every generator row of a system: drift, controls, switchable noises."""
+    return system.generator_rows(range(1 + len(system.controls) + len(system.noises)))
 
 
 def superoperator_terms(system):
@@ -235,7 +247,7 @@ class TestPauliStack:
                                                           coupling):
         system = ising_chain(n, coupling=coupling, noise_kind=noise, noisy_site=min(site, n),
                              dephasing=dephasing)
-        stack = system.pauli_generators
+        stack = full_stack(system)
         assert stack.dtype == np.float64
         assert stack.shape == (1 + len(system.controls) + len(system.noises), 4 ** n, 4 ** n)
         assert not stack[:, 0].any()
@@ -250,7 +262,7 @@ class TestPauliStack:
         lambda: ion_trap_model(),
     ])
     def test_rows_built_on_demand_match_the_full_stack(self, make):
-        full = make().pauli_generators
+        full = full_stack(make())
         last = len(full) - 1
         for rows in ([0], [last], [0, last], list(range(1, last + 1))):
             got = make().generator_rows(np.array(rows))
@@ -261,24 +273,26 @@ class TestPauliStack:
         built = []
         exact = models._generator_stack
         monkeypatch.setattr(models, "_generator_stack",
-                            lambda system, rows=None: built.append(rows) or exact(system, rows))
+                            lambda system, rows: built.append(rows) or exact(system, rows))
         system = ising_chain(4, noise_kind="bitflip", dephasing=0.1)
         u = np.zeros(8)
         ell = assemble_liouvillian(system, u, np.zeros(1))            # drift only
-        assemble_liouvillian(system, u, np.array([2.0]))              # drift kept, noise built
+        assemble_liouvillian(system, u, np.array([2.0]))              # drift and noise
         u[3] = 0.5
         assemble_liouvillian(system, u, np.array([2.0]))
-        assert [list(rows) for rows in built] == [[0], [9], [4]]
+        assemble_liouvillian(system, u, np.array([1.0]))              # a row set read before
+        assert built == [(0,), (0, 9), (0, 4, 9)]
         np.testing.assert_array_equal(system.generator_rows(np.array([0])), [ell])
-        np.testing.assert_array_equal(system.pauli_generators[[0, 4, 9]],
+        np.testing.assert_array_equal(full_stack(system)[[0, 4, 9]],
                                       system.generator_rows(np.array([0, 4, 9])))
-        assert built[-1] is None and len(built) == 4
+        assert built[-1] == tuple(range(10)) and len(built) == 4
 
     def test_stack_is_built_once_and_read_only(self):
         system = ising_chain(2, dephasing=0.1)
-        assert system.pauli_generators is system.pauli_generators
+        stack = system.generator_rows([0, 5])
+        assert system.generator_rows(np.array([0, 5])) is stack
         with pytest.raises(ValueError):
-            system.pauli_generators[0, 0, 0] = 1.0
+            stack[0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda t: (t[0] * 1j,) + t[1:], "imaginary part of Hamiltonian"),
@@ -288,7 +302,7 @@ class TestPauliStack:
         tables = lindblad._pauli_tables(2)
         monkeypatch.setattr(lindblad, "_pauli_tables", lambda n: corrupt(tables))
         with pytest.raises(NumericalHealthError, match=message):
-            ising_chain(2, noise_kind="amp").pauli_generators
+            full_stack(ising_chain(2, noise_kind="amp"))
 
     def test_non_finite_drift_raises(self):
         # the system itself rejects the drift, before any generator is built

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from noisectrl import _expm
+from noisectrl import _expm, models
 from noisectrl.exceptions import NumericalHealthError
 from noisectrl.lindblad import assemble_liouvillian, liouvillians, pauli_basis, propagator
 from noisectrl.models import ghz_state, ion_trap_model, ising_chain, thermal_state, zero_state
@@ -221,7 +221,8 @@ def assert_gradient_matches_scipy_frechet(problem, seq, a):
     b = [f[-1] - np.real(basis @ vec(problem.target))]
     for xk in x[:0:-1]:
         b.insert(0, xk.T @ b[0])
-    directions = problem.system.pauli_generators[1:]
+    system = problem.system
+    directions = system.generator_rows(range(1 + len(system.controls) + len(system.noises)))[1:]
     q = [scipy.linalg.expm_frechet(a[k].T, np.outer(b[k], f[k]), compute_expm=False)
          for k in range(len(a))]
     ref = np.array([[-2.0 * problem.dt * np.sum(qk * d) for d in directions] for qk in q])
@@ -326,6 +327,19 @@ class TestOptimize:
             traj = propagate(problem, res.sequence)
             for name in ("times", "states", "sorted_eigenvalues"):
                 np.testing.assert_array_equal(getattr(res.trajectory, name), getattr(traj, name))
+
+    def test_one_run_builds_the_generator_stack_once(self, monkeypatch):
+        # the exponents and the gradient directions read one stored stack
+        built = []
+        exact = models._generator_stack
+        monkeypatch.setattr(models, "_generator_stack",
+                            lambda system, rows: built.append(rows) or exact(system, rows))
+        system = ising_chain(2, gamma_star=5.0, dephasing=0.1)
+        problem = TransferProblem(system, random_density(2, 31), random_density(2, 32),
+                                  4.0, 16)
+        result = optimize(problem, random_sequence(problem, 33), max_iters=5, tol=1e-9)
+        assert len(result.error_history) > 1
+        assert built == [tuple(range(6))]
 
     def test_projected_gradient_small_at_optimum(self):
         system = ising_chain(1, noise_kind="bitflip", gamma_star=5.0)
